@@ -1,5 +1,6 @@
 //! Criterion: the fused batch engine on the 10k-rep small-graph elect
-//! campaign — batched (the default) vs `--no-batch` one-run-per-worker —
+//! campaign — batched (the default) vs one run per batch
+//! (`--batch-size 1`) —
 //! plus the engine-only fused-vs-sequential comparison the campaign
 //! numbers decompose into.
 //!
@@ -15,9 +16,10 @@
 //! within-batch execution sharing for duplicate draws (arith tags over
 //! span 4 redraw a handful of distinct configurations per cell, so most
 //! members of a 16-run batch copy a representative's bit-identical
-//! shape instead of re-simulating it). Locally measured (release,
-//! 1 worker thread): one_per_worker ≈ 33 ms/iter (≈3.3 µs/run),
-//! batched ≈ 13 ms/iter (≈1.3 µs/run) — ≈2.6×. Regressions below 1.5×
+//! shape instead of re-simulating it). Measured (release, 2 worker
+//! threads, 2-vCPU Linux VM): one_per_worker ≈ 42–49 ms/iter
+//! (≈4.4 µs/run), batched ≈ 8.6–10.3 ms/iter (≈0.95 µs/run) — ≈4.6×.
+//! Regressions below 1.5×
 //! mean a batch-path fixed cost grew (per-member allocation, lost
 //! dedupe) or the fast path stopped engaging.
 //!
@@ -70,11 +72,11 @@ fn bench_batch_campaign(c: &mut Criterion) {
     group.throughput(Throughput::Elements(runs));
     let threads = parallel::default_threads();
 
-    // `--no-batch`: the one-run-per-worker path — every run pays its own
-    // cache lookup, workspace dispatch, and Execution materialization.
+    // `--batch-size 1`: one run per batch — every run pays its own cache
+    // lookup and engine dispatch, with no within-batch dedupe or sharing.
     group.bench_function("one_per_worker", |b| {
         b.iter(|| {
-            let mut runner = CampaignRunner::new(small_graph_spec(BatchConfig::disabled()), 1);
+            let mut runner = CampaignRunner::new(small_graph_spec(BatchConfig::with_size(1)), 1);
             runner.run_to_completion(threads);
             runner.aggregates().map(|(_, a)| a.runs).sum::<u64>()
         })

@@ -68,7 +68,7 @@ fn gate_generation_speedup() {
 
 fn gate_rows_bit_for_bit() {
     use radio_bench::campaign::{
-        election_metrics, BatchConfig, CacheConfig, CampaignSpec, CampaignWorkspace, Phase,
+        election_metrics_batched, BatchConfig, CacheConfig, CampaignSpec, CampaignWorkspace, Phase,
         TagStrategy,
     };
     use radio_sim::{ModelKind, RunOpts};
@@ -102,8 +102,8 @@ fn gate_rows_bit_for_bit() {
                 direct, legacy,
                 "{cell} rep {rep}: construction routes drew different configurations"
             );
-            let a = election_metrics(&mut ws_direct, &direct, cell.model, spec.opts);
-            let b = election_metrics(&mut ws_legacy, &legacy, cell.model, spec.opts);
+            let a = election_metrics_batched(&mut ws_direct, &[direct], cell.model, spec.opts)[0];
+            let b = election_metrics_batched(&mut ws_legacy, &[legacy], cell.model, spec.opts)[0];
             // The deterministic row prefix — everything except the
             // measured tail (wall_ns, mem_hw).
             assert_eq!(
@@ -183,14 +183,16 @@ fn bench_streaming_elect(c: &mut Criterion) {
     group.bench_function("star/len_only/100000", |b| {
         let mut sim = SimWorkspace::new();
         b.iter(|| {
-            let d = anon_radio::solve(&config).unwrap();
-            d.run_in(
-                &mut sim,
-                ModelKind::NoCollisionDetection,
-                RunOpts::default(),
-            )
-            .unwrap()
-            .leader
+            let compiled = anon_radio::solve(&config).unwrap();
+            compiled
+                .run_in(
+                    &mut sim,
+                    &config,
+                    ModelKind::NoCollisionDetection,
+                    RunOpts::default(),
+                )
+                .unwrap()
+                .leader
         })
     });
     group.finish();

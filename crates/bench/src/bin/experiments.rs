@@ -49,7 +49,7 @@ fn main() {
                      runs the paper-claim experiments (all by default) and prints\n\
                      Markdown tables; --out also writes <id>_<k>.md/.csv files\n\
                      --bench-json PATH  instead measure the fused batch engine against\n\
-                     the one-run-per-worker campaign path and the million-node scale\n\
+                     one-run batches (--batch-size 1) and the million-node scale\n\
                      path (CSR-direct + streaming elect at 10⁵/10⁶ nodes), appending\n\
                      one JSON trajectory row per measurement to PATH"
                 );
@@ -97,8 +97,8 @@ fn main() {
 }
 
 /// `--bench-json`: time the 10k-rep small-graph elect campaign through
-/// the fused batch engine (default size) and through the one-run-per-
-/// worker path (`--no-batch`), best of three passes each after a warm-up,
+/// the fused batch engine at the default size and at size 1 (one run
+/// per batch, `--batch-size 1`), best of three passes each after a warm-up,
 /// and append one machine-readable trajectory row — so future changes can
 /// see the engine's perf curve without re-deriving the workload.
 fn bench_batch(path: &std::path::Path, seed: u64) {
@@ -135,7 +135,7 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
         }
         best
     };
-    let sequential = time(BatchConfig::disabled());
+    let sequential = time(BatchConfig::with_size(1));
     let batched = time(BatchConfig::default());
     let row = format!(
         "{{\"bench\":\"batch_engine\",\"runs\":{runs},\"threads\":{threads},\
@@ -188,10 +188,11 @@ fn bench_scale(path: &std::path::Path, seed: u64) {
         let config = Configuration::from_csr(csr, tags).expect("star configuration");
         let mut sim = SimWorkspace::new();
         let elect_started = std::time::Instant::now();
-        let dedicated = anon_radio::solve(&config).expect("star elects");
-        let outcome = dedicated
+        let compiled = anon_radio::solve(&config).expect("star elects");
+        let outcome = compiled
             .run_in(
                 &mut sim,
+                &config,
                 ModelKind::NoCollisionDetection,
                 RunOpts::default(),
             )

@@ -150,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn h_m_is_feasible_in_one_iteration() {
+    fn h_m_is_feasible_after_one_iteration() {
         // Lemma 4.2: each of the four nodes lands in its own class after
         // iteration 1.
         for m in [1u64, 2, 5, 30] {

@@ -1,8 +1,10 @@
 //! Top-level convenience API: feasibility, solving, and one-call election.
 
+use radio_classifier::ClassifierWorkspace;
 use radio_graph::{Configuration, NodeId};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 
-use crate::dedicated::DedicatedElection;
+use crate::dedicated::CompiledElection;
 
 /// The configuration admits no deterministic leader-election algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +37,8 @@ pub enum ElectError {
         /// Nodes still running when it did.
         still_running: usize,
     },
-    /// The simulator aborted for any other reason (e.g. the configuration
-    /// turned out infeasible at solve time).
+    /// The election could not run: the compiled configuration is
+    /// infeasible (the message is the [`Infeasible`] verdict).
     Simulation(String),
     /// The decision function did not mark exactly one node — a broken
     /// invariant for a feasible configuration.
@@ -114,84 +116,42 @@ pub struct ElectionReport {
 ///
 /// Routed through the record-free classifier path: nothing but the
 /// verdict is materialized. For repeated decisions hold a
-/// [`ClassifierWorkspace`](radio_classifier::ClassifierWorkspace) and use
-/// [`is_feasible_in`].
+/// [`ClassifierWorkspace`] and call
+/// [`ClassifierWorkspace::summarize_in`].
 pub fn is_feasible(config: &Configuration) -> bool {
     radio_classifier::summarize(config).feasible
 }
 
-/// [`is_feasible`] through a caller-provided
-/// [`ClassifierWorkspace`](radio_classifier::ClassifierWorkspace) — the
-/// batch path: one workspace per worker thread makes back-to-back
-/// feasibility decisions allocation-free.
-pub fn is_feasible_in(
-    workspace: &mut radio_classifier::ClassifierWorkspace,
-    config: &Configuration,
-) -> bool {
-    workspace.summarize_in(config).feasible
-}
-
-/// [`is_feasible_in`] through a [`ScheduleCache`](crate::ScheduleCache):
-/// an exact cache hit answers without classifying at all, and a miss
-/// leaves the compiled election behind for later `solve`/campaign reuse.
-/// The verdict is bit-identical to the uncached path.
-pub fn is_feasible_cached(
-    workspace: &mut radio_classifier::ClassifierWorkspace,
-    config: &Configuration,
-    cache: &crate::cache::ScheduleCache,
-) -> bool {
-    cache.compile_in(workspace, config).0.feasible()
-}
-
 /// Compiles the dedicated leader-election algorithm `(D_G, f_G)` for a
 /// feasible configuration (Theorem 3.15).
-pub fn solve(config: &Configuration) -> Result<DedicatedElection, Infeasible> {
-    DedicatedElection::solve(config)
-}
-
-/// One call: classify, compile, simulate, validate — returns the elected
-/// leader and run metrics.
-pub fn elect_leader(config: &Configuration) -> Result<ElectionReport, ElectError> {
-    elect_leader_under(config, radio_sim::ModelKind::default())
-}
-
-/// [`elect_leader`] under an explicit channel model.
 ///
-/// The compiled algorithm is proved correct only for the default (paper)
-/// model; foreign models run deterministically but may break the
-/// exactly-one-leader contract, which surfaces as an error.
-pub fn elect_leader_under(
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-) -> Result<ElectionReport, ElectError> {
-    elect_leader_with(config, model, radio_sim::RunOpts::default())
+/// Run it with [`CompiledElection::run_in`]. Callers compiling many
+/// configurations hold a [`ClassifierWorkspace`] and call
+/// [`CompiledElection::compile_in`] (or
+/// [`ScheduleCache::compile_in`](crate::ScheduleCache::compile_in))
+/// instead.
+pub fn solve(config: &Configuration) -> Result<CompiledElection, Infeasible> {
+    let compiled = CompiledElection::compile_in(&mut ClassifierWorkspace::new(), config);
+    if compiled.feasible() {
+        Ok(compiled)
+    } else {
+        Err(Infeasible {
+            iterations: compiled.summary().iterations,
+        })
+    }
 }
 
-/// [`elect_leader_under`] with explicit executor options — e.g.
-/// `RunOpts::default().no_leap()` for the CLI's `--no-leap` escape hatch,
-/// or a custom round limit.
-pub fn elect_leader_with(
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-    opts: radio_sim::RunOpts,
-) -> Result<ElectionReport, ElectError> {
-    let dedicated = solve(config).map_err(|e| ElectError::Simulation(e.to_string()))?;
-    dedicated.run_under(model, opts)
-}
-
-/// [`elect_leader_with`] through a caller-provided
-/// [`SimWorkspace`](radio_sim::SimWorkspace): classify, compile, simulate
-/// — with the simulation recycling the workspace's engine state. The
-/// batch/campaign layers hold one workspace per worker thread and route
-/// every election through it.
-pub fn elect_leader_in(
-    workspace: &mut radio_sim::SimWorkspace,
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-    opts: radio_sim::RunOpts,
-) -> Result<ElectionReport, ElectError> {
-    let dedicated = solve(config).map_err(|e| ElectError::Simulation(e.to_string()))?;
-    dedicated.run_in(workspace, model, opts)
+/// One call: classify, compile, simulate under the paper's model,
+/// validate — returns the elected leader and run metrics. For another
+/// channel model, executor options or a recycled workspace, compile and
+/// call [`CompiledElection::run_in`] directly.
+pub fn elect_leader(config: &Configuration) -> Result<ElectionReport, ElectError> {
+    CompiledElection::compile_in(&mut ClassifierWorkspace::new(), config).run_in(
+        &mut SimWorkspace::new(),
+        config,
+        ModelKind::default(),
+        RunOpts::default(),
+    )
 }
 
 #[cfg(test)]
@@ -203,22 +163,13 @@ mod tests {
     fn feasibility_shortcuts() {
         assert!(is_feasible(&families::h_m(2)));
         assert!(!is_feasible(&families::s_m(2)));
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        assert!(is_feasible_in(&mut ws, &families::h_m(2)));
-        assert!(!is_feasible_in(&mut ws, &families::s_m(2)));
     }
 
     #[test]
-    fn cached_feasibility_matches_uncached() {
-        let cache = crate::cache::ScheduleCache::default();
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        for c in [families::h_m(2), families::s_m(2), families::g_m(3)] {
-            let plain = is_feasible_in(&mut ws, &c);
-            // twice: once populating, once hitting — same verdict always
-            assert_eq!(is_feasible_cached(&mut ws, &c, &cache), plain, "{c}");
-            assert_eq!(is_feasible_cached(&mut ws, &c, &cache), plain, "{c}");
-        }
-        assert!(cache.stats().hits >= 3);
+    fn solve_rejects_infeasible() {
+        let err = solve(&families::s_m(2)).unwrap_err();
+        assert_eq!(err.iterations, 2);
+        assert!(solve(&families::h_m(2)).unwrap().feasible());
     }
 
     #[test]
@@ -233,6 +184,18 @@ mod tests {
         let err = elect_leader(&families::s_m(1)).unwrap_err();
         assert!(matches!(err, ElectError::Simulation(_)));
         assert!(err.to_string().contains("infeasible"));
+        // Running an infeasible compilation reports the verdict under
+        // every model instead of simulating it into a leader-count error.
+        let mut sim = SimWorkspace::new();
+        for m in 1..=3 {
+            let config = families::s_m(m);
+            let compiled = CompiledElection::compile_in(&mut ClassifierWorkspace::new(), &config);
+            let want = ElectError::Simulation(solve(&config).unwrap_err().to_string());
+            for model in ModelKind::ALL {
+                let got = compiled.run_in(&mut sim, &config, model, RunOpts::default());
+                assert_eq!(got, Err(want.clone()), "S_{m} under {model}");
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@
 
 use std::io::Read;
 
+use anon_radio::{CompiledElection, ElectError, ElectionReport};
+use radio_classifier::ClassifierWorkspace;
 use radio_graph::{families, io, Configuration};
-use radio_sim::ModelKind;
+use radio_sim::{ModelKind, SimWorkspace};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,28 +102,12 @@ fn main() {
             elect_family_command(&args[1..], model, opts)
         }
         Some("elect") => with_config(&args, |config| {
-            match anon_radio::elect_leader_with(config, model, opts) {
-                Ok(report) => {
-                    println!("{config}");
-                    println!(
-                        "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
-                         done by global round {} | transmissions: {} | \
-                         engine: {} stepped + {} leapt",
-                        report.leader,
-                        report.phases,
-                        report.rounds_local,
-                        report.completion_round,
-                        report.transmissions,
-                        report.rounds_stepped,
-                        report.rounds_leapt
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("election failed under model {model}: {e}");
-                    1
-                }
+            let compiled = CompiledElection::compile_in(&mut ClassifierWorkspace::new(), config);
+            let outcome = compiled.run_in(&mut SimWorkspace::new(), config, model, opts);
+            if outcome.is_ok() {
+                println!("{config}");
             }
+            print_election(model, outcome)
         }),
         Some("dot") => with_config(&args, |config| {
             print!("{}", io::to_dot(config, "configuration"));
@@ -222,7 +208,6 @@ fn campaign_command(args: &[String]) -> i32 {
     let mut no_leap = false;
     let mut no_cache = false;
     let mut cache_capacity: Option<usize> = None;
-    let mut no_batch = false;
     let mut batch_size: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut binary_rows = false;
@@ -276,7 +261,6 @@ fn campaign_command(args: &[String]) -> i32 {
                             .map_err(|e| format!("--cache-capacity: {e}"))?,
                     )
                 }
-                "--no-batch" => no_batch = true,
                 "--batch-size" => {
                     batch_size = Some(
                         value("--batch-size")?
@@ -356,18 +340,13 @@ fn campaign_command(args: &[String]) -> i32 {
         (false, Some(capacity)) => anon_radio::cache::CacheConfig::with_capacity(capacity),
         (false, None) => anon_radio::cache::CacheConfig::default(),
     };
-    let batch = match (no_batch, batch_size) {
-        (true, Some(_)) => {
-            eprintln!("error: --batch-size conflicts with --no-batch");
+    let batch = match batch_size {
+        Some(0) => {
+            eprintln!("error: --batch-size must be at least 1");
             return 2;
         }
-        (true, None) => anon_radio::campaign::BatchConfig::disabled(),
-        (false, Some(0)) => {
-            eprintln!("error: --batch-size must be at least 1 (or pass --no-batch)");
-            return 2;
-        }
-        (false, Some(size)) => anon_radio::campaign::BatchConfig::with_size(size),
-        (false, None) => anon_radio::campaign::BatchConfig::default(),
+        Some(size) => anon_radio::campaign::BatchConfig::with_size(size),
+        None => anon_radio::campaign::BatchConfig::default(),
     };
     let spec = CampaignSpec {
         phase,
@@ -815,21 +794,29 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
         }
     };
     stage_peak("graph build");
-    let dedicated = match anon_radio::solve(&config) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("election failed under model {model}: {e}");
-            return 1;
-        }
-    };
+    let compiled = CompiledElection::compile_in(&mut ClassifierWorkspace::new(), &config);
     stage_peak("classify+compile");
-    let mut sim = radio_sim::SimWorkspace::new();
-    let outcome = dedicated.run_in(&mut sim, model, opts);
+    let mut sim = SimWorkspace::new();
+    let outcome = compiled.run_in(&mut sim, &config, model, opts);
     eprintln!(
         "sim workspace high-water: {:.1} MiB",
         sim.mem_bytes() as f64 / (1 << 20) as f64
     );
-    let code = match outcome {
+    let code = print_election(model, outcome);
+    if let Some(peak) = radio_util::mem::peak_rss_bytes() {
+        eprintln!(
+            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
+            peak as f64 / (1 << 20) as f64,
+            peak as f64 / footprint as f64
+        );
+    }
+    code
+}
+
+/// Prints an election's one-line report (stdout) or its failure (stderr)
+/// and returns the exit code — shared by both `elect` forms.
+fn print_election(model: ModelKind, outcome: Result<ElectionReport, ElectError>) -> i32 {
+    match outcome {
         Ok(report) => {
             println!(
                 "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
@@ -849,15 +836,7 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
             eprintln!("election failed under model {model}: {e}");
             1
         }
-    };
-    if let Some(peak) = radio_util::mem::peak_rss_bytes() {
-        eprintln!(
-            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
-            peak as f64 / (1 << 20) as f64,
-            peak as f64 / footprint as f64
-        );
     }
-    code
 }
 
 /// Writes the JSONL rows to `path` (whole-file rewrite — rows are
@@ -963,11 +942,10 @@ fn usage() -> i32 {
          \u{20}                       memoizes classify+compile across repeated shapes by\n\
          \u{20}                       default; rows are bit-identical either way)\n\
          \u{20}      --cache-capacity N  bound the cache at ~N entries (default 4096)\n\
-         \u{20}      --no-batch       run elect-phase simulations one at a time (batches of\n\
-         \u{20}                       runs execute through one fused engine pass by default;\n\
-         \u{20}                       rows are bit-identical either way up to the measured\n\
-         \u{20}                       tail from \"wall_ns\" on)\n\
-         \u{20}      --batch-size B   member runs per fused batch (default 16)\n\
+         \u{20}      --batch-size B   elect-phase runs per fused engine pass (default 16;\n\
+         \u{20}                       1 runs one election at a time; rows are bit-identical\n\
+         \u{20}                       for every size up to the measured tail from\n\
+         \u{20}                       \"wall_ns\" on)\n\
          \u{20}      --row-format jsonl|binary  row encoding for --out (binary is the\n\
          \u{20}                       compact length-prefixed format; `rows convert` maps\n\
          \u{20}                       it back to identical JSONL)\n\

@@ -30,16 +30,16 @@
 //! * [`CampaignRunner::jsonl_rows`] renders one JSON object per grid cell
 //!   — the `anon-radio campaign` subcommand's output format.
 //!
-//! The default per-run workload is the full election pipeline (classify →
-//! compile → simulate → validate, via [`election_metrics`]); the bench
-//! harness supplies custom runners for engine-comparison campaigns
-//! through [`CampaignRunner::run_next_shard_with`].
+//! The elect-phase workload is the full election pipeline (classify →
+//! compile → simulate → validate), run in fused batches through
+//! [`election_metrics_batched`]; the classify phase runs
+//! [`classify_metrics`] per run.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use radio_classifier::ClassifierWorkspace;
-use radio_graph::{Configuration, Graph};
+use radio_graph::Configuration;
 use radio_sim::parallel::par_map_init;
 use radio_sim::{BatchRun, BatchWorkspace, ModelKind, RunOpts, SimWorkspace};
 use radio_util::fxhash::FxHashMap;
@@ -49,7 +49,7 @@ use radio_util::stats::StreamingStats;
 pub use radio_graph::family::{FamilyError, FamilySpec};
 pub use radio_graph::tags::TagStrategy;
 
-use crate::cache::{config_fingerprint, CacheConfig, CacheStats, ScheduleCache};
+use crate::cache::{config_fingerprint, CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 use crate::canonical::CanonicalFactory;
 use crate::dedicated::CompiledElection;
 
@@ -103,18 +103,19 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// The per-worker state of a campaign: one simulation workspace *and* one
-/// classifier workspace, both long-lived for the worker's whole share of
-/// a shard. The elect phase uses both (classification feeds compilation,
-/// simulation recycles the engine buffers); the classify phase touches
-/// only the classifier side.
+/// The per-worker state of a campaign or serve worker: engine and
+/// classifier workspaces, long-lived for the worker's whole share of a
+/// shard (or its whole life in serve). Elect-phase campaign runs use the
+/// classifier (classification feeds compilation) and the fused batch
+/// engine; serve's one-shot elect jobs simulate through `sim`; the
+/// classify phase touches only the classifier side.
 #[derive(Debug, Default)]
 pub struct CampaignWorkspace {
-    /// Recycled engine state for simulations.
+    /// Recycled engine state for one-shot simulations.
     pub sim: SimWorkspace,
-    /// Recycled fused-batch engine state — the default elect-phase path
+    /// Recycled fused-batch engine state — the elect-phase path
     /// ([`election_metrics_batched`]) runs each batch of member runs
-    /// through one engine pass instead of one [`SimWorkspace`] run each.
+    /// through one engine pass.
     pub batch: BatchWorkspace,
     /// Recycled classifier state (label interner, refine buffers,
     /// worklist).
@@ -142,29 +143,41 @@ impl CampaignWorkspace {
             ..CampaignWorkspace::default()
         }
     }
+
+    /// Classifies and compiles `config` through the attached cache, or
+    /// directly through the classifier workspace when none is attached
+    /// (lookup `None`). Both routes produce bit-identical compilations;
+    /// neither clones the configuration.
+    pub fn compile(&mut self, config: &Configuration) -> (CompiledElection, Option<CacheLookup>) {
+        match &self.cache {
+            Some(cache) => {
+                let (compiled, lookup) = cache.compile_in(&mut self.classifier, config);
+                (compiled, Some(lookup))
+            }
+            None => (
+                CompiledElection::compile_in(&mut self.classifier, config),
+                None,
+            ),
+        }
+    }
 }
 
-/// Batched-execution policy for elect campaigns (`--no-batch`,
-/// `--batch-size`). Batching is on by default: runs are grouped into
-/// contiguous batches (never crossing a cell boundary — pure position
-/// arithmetic, invariant under threads and shard geometry) and each batch
-/// executes as one fused [`BatchWorkspace`] pass. Rows are bit-identical
-/// to the unbatched path up to the measured tail (`wall_ns` onward).
-/// Ignored by the classify phase, which runs no simulation.
+/// Batched-execution policy for elect campaigns (`--batch-size`): runs
+/// are grouped into contiguous batches (never crossing a cell boundary —
+/// pure position arithmetic, invariant under threads and shard geometry)
+/// and each batch executes as one fused [`BatchWorkspace`] pass. Size 1
+/// runs one election at a time. Rows are bit-identical for every size up
+/// to the measured tail (`wall_ns` onward). Ignored by the classify
+/// phase, which runs no simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Whether the elect phase batches at all (`--no-batch` clears it).
-    pub enabled: bool,
     /// Maximum member runs per fused batch (`--batch-size N`, ≥ 1).
     pub size: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig {
-            enabled: true,
-            size: BatchConfig::DEFAULT_SIZE,
-        }
+        BatchConfig::with_size(BatchConfig::DEFAULT_SIZE)
     }
 }
 
@@ -174,125 +187,9 @@ impl BatchConfig {
     /// that dynamic work-stealing still balances skewed cells.
     pub const DEFAULT_SIZE: usize = 16;
 
-    /// The `--no-batch` configuration.
-    pub fn disabled() -> BatchConfig {
-        BatchConfig {
-            enabled: false,
-            ..BatchConfig::default()
-        }
-    }
-
-    /// Enabled with an explicit batch size (`--batch-size N`).
+    /// An explicit batch size (`--batch-size N`).
     pub fn with_size(size: usize) -> BatchConfig {
-        BatchConfig {
-            enabled: true,
-            size,
-        }
-    }
-}
-
-/// The six legacy grid families, kept as a thin alias layer over
-/// [`FamilySpec`] so pre-scenario-grammar JSONL rows,
-/// `radio_bench::workloads::scaling_families`, and the E-experiment
-/// tables keep their names, their seed-derivation streams, and therefore
-/// their exact draws.
-///
-/// New code should use [`FamilySpec`] directly — it reaches the whole
-/// generator zoo (`grid:16x4`, `torus:8x8`, `hypercube:6`, …), not just
-/// these six shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FamilyKind {
-    /// Path `P_n` (degree ≤ 2).
-    Path,
-    /// Cycle `C_n` (requires `n ≥ 3`).
-    Cycle,
-    /// Star `K_{1,n-1}` (centre degree `n − 1`).
-    Star,
-    /// Balanced binary tree.
-    BalancedTree,
-    /// Uniform random tree (seed-deterministic).
-    RandomTree,
-    /// Connected `G(n, 8/n)` (seed-deterministic).
-    Gnp,
-}
-
-impl FamilyKind {
-    /// All families, in declaration order.
-    pub const ALL: [FamilyKind; 6] = [
-        FamilyKind::Path,
-        FamilyKind::Cycle,
-        FamilyKind::Star,
-        FamilyKind::BalancedTree,
-        FamilyKind::RandomTree,
-        FamilyKind::Gnp,
-    ];
-
-    /// Canonical name (JSONL rows, CLI values, table labels). Always
-    /// equal to `self.spec().to_string()`.
-    pub fn name(self) -> &'static str {
-        match self {
-            FamilyKind::Path => "path",
-            FamilyKind::Cycle => "cycle",
-            FamilyKind::Star => "star",
-            FamilyKind::BalancedTree => "binary-tree",
-            FamilyKind::RandomTree => "random-tree",
-            FamilyKind::Gnp => "gnp",
-        }
-    }
-
-    /// The [`FamilySpec`] this legacy name aliases.
-    pub fn spec(self) -> FamilySpec {
-        match self {
-            FamilyKind::Path => FamilySpec::Path,
-            FamilyKind::Cycle => FamilySpec::Cycle,
-            FamilyKind::Star => FamilySpec::Star,
-            FamilyKind::BalancedTree => FamilySpec::Tree { arity: 2 },
-            FamilyKind::RandomTree => FamilySpec::RandomTree,
-            FamilyKind::Gnp => FamilySpec::Gnp { ppm: None },
-        }
-    }
-
-    /// Builds the family member on exactly `n` nodes, delegating to
-    /// [`FamilySpec::build`]. Deterministic families ignore the seed; the
-    /// randomized ones derive their RNG from it with the same stream
-    /// labels the bench workloads use.
-    ///
-    /// Unrealizable sizes are an `Err`, never a clamp: a `Cycle` at
-    /// `n < 3` used to be silently built on 3 nodes, which let library
-    /// callers label a cell `n=2` while simulating a triangle.
-    pub fn build(self, n: usize, seed: u64) -> Result<Graph, FamilyError> {
-        self.spec().build(n, seed)
-    }
-}
-
-impl From<FamilyKind> for FamilySpec {
-    fn from(kind: FamilyKind) -> FamilySpec {
-        kind.spec()
-    }
-}
-
-impl std::str::FromStr for FamilyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FamilyKind, String> {
-        match s {
-            "path" => Ok(FamilyKind::Path),
-            "cycle" => Ok(FamilyKind::Cycle),
-            "star" => Ok(FamilyKind::Star),
-            "binary-tree" | "btree" => Ok(FamilyKind::BalancedTree),
-            "random-tree" | "rtree" => Ok(FamilyKind::RandomTree),
-            "gnp" => Ok(FamilyKind::Gnp),
-            other => Err(format!(
-                "unknown graph family `{other}` (expected path, cycle, star, binary-tree, \
-                 random-tree, or gnp)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for FamilyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
+        BatchConfig { size }
     }
 }
 
@@ -303,8 +200,7 @@ pub struct CampaignSpec {
     /// Which pipeline stage each run executes.
     pub phase: Phase,
     /// Graph families to cross — any [`FamilySpec`] the scenario grammar
-    /// can name (legacy [`FamilyKind`] values convert via
-    /// [`FamilyKind::spec`]).
+    /// can name.
     pub families: Vec<FamilySpec>,
     /// Tag-placement strategies to cross (see [`TagStrategy`]).
     pub tags: Vec<TagStrategy>,
@@ -330,9 +226,9 @@ pub struct CampaignSpec {
     /// compiles a schedule. Cached and uncached campaigns produce
     /// bit-identical rows up to the cache counters themselves.
     pub cache: CacheConfig,
-    /// Batched-execution policy for elect campaigns (`--no-batch`,
-    /// `--batch-size`). Batched and unbatched campaigns produce
-    /// bit-identical rows up to the measured tail.
+    /// Batched-execution policy for elect campaigns (`--batch-size`).
+    /// Every batch size produces bit-identical rows up to the measured
+    /// tail.
     pub batch: BatchConfig,
 }
 
@@ -401,6 +297,26 @@ impl CampaignSpec {
             })
             .sum();
         sizes * self.tags.len() * self.spans.len() * self.models.len() * self.reps
+    }
+
+    /// Splits the run range `start..end` into contiguous batches: each
+    /// stays inside one cell and holds at most `batch.size` elect runs (one
+    /// classify run). Pure position arithmetic, so the split is invariant
+    /// under threads and shard geometry.
+    fn batches(&self, start: usize, end: usize) -> Vec<(usize, usize)> {
+        let size = match self.phase {
+            Phase::Elect => self.batch.size.max(1),
+            Phase::Classify => 1,
+        };
+        let mut batches = Vec::new();
+        let mut i = start;
+        while i < end {
+            let cell_end = (i / self.reps + 1) * self.reps;
+            let stop = cell_end.min(end).min(i + size);
+            batches.push((i, stop));
+            i = stop;
+        }
+        batches
     }
 
     /// Checks that every cell of the grid is buildable — the validation
@@ -709,98 +625,40 @@ impl CellAggregate {
     }
 }
 
-/// The elect-phase per-run workload: the full election pipeline on the
-/// drawn configuration — classify through the worker's recycled
-/// [`ClassifierWorkspace`], compile, simulate through its
-/// [`SimWorkspace`], validate the exactly-one-leader contract against the
-/// classifier's prediction.
+/// The elect-phase workload for one *batch* of drawn configurations: the
+/// full election pipeline per member under `model` and `opts` —
+/// compile once per distinct configuration fingerprint, execute every
+/// feasible member through the workspace's fused [`BatchWorkspace`],
+/// validate the exactly-one-leader contract against the classifier's
+/// prediction, and fold metrics straight off the engine's borrowed
+/// [`MemberView`](radio_sim::MemberView)s — no per-run
+/// [`Execution`](radio_sim::Execution) is ever materialized.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
 /// that break the election contract still contribute their execution
 /// shape, with `elected = false`.
-pub fn election_metrics(
-    workspace: &mut CampaignWorkspace,
-    config: &Configuration,
-    model: ModelKind,
-    opts: RunOpts,
-) -> RunMetrics {
-    // lint:allow(wall-clock): this is the designated timing site feeding the
-    // wall_ns column, which lives in the measured row tail after the pinned
-    // deterministic prefix
-    let start = Instant::now();
-    let mut metrics = RunMetrics::default();
-    // Compile through the shared schedule cache when one is attached —
-    // bit-identical to the uncached compile; only wall time and the cache
-    // counters differ. Neither path clones the configuration.
-    let compiled = match &workspace.cache {
-        Some(cache) => {
-            let (compiled, lookup) = cache.compile_in(&mut workspace.classifier, config);
-            metrics.cache_hit = lookup.is_hit();
-            metrics.cache_miss = !lookup.is_hit();
-            compiled
-        }
-        None => CompiledElection::compile_in(&mut workspace.classifier, config),
-    };
-    if !compiled.feasible() {
-        metrics.wall_ns = start.elapsed().as_nanos() as u64;
-        metrics.mem_hw = workspace.classifier.mem_bytes();
-        return metrics;
-    }
-    metrics.feasible = true;
-    let factory = compiled.factory();
-    match workspace.sim.run_kind(model, config, &factory, opts) {
-        Ok(execution) => {
-            let decision = compiled.decision();
-            let leaders: Vec<_> = (0..config.size() as radio_graph::NodeId)
-                .filter(|&v| decision.is_leader(execution.history(v)))
-                .collect();
-            metrics.elected = leaders == [compiled.predicted_leader()];
-            metrics.simulated = true;
-            metrics.rounds = execution.rounds;
-            metrics.transmissions = execution.stats.transmissions;
-            metrics.rounds_stepped = execution.rounds_stepped;
-            metrics.rounds_leapt = execution.rounds_leapt;
-        }
-        Err(_) => metrics.aborted = true,
-    }
-    metrics.wall_ns = start.elapsed().as_nanos() as u64;
-    metrics.mem_hw = workspace.sim.mem_bytes() + workspace.classifier.mem_bytes();
-    metrics
-}
-
-/// The elect-phase workload for one *batch* of runs `lo..hi` (global run
-/// indices, all inside `cell`): compile once per distinct configuration
-/// fingerprint, execute every feasible member through the workspace's
-/// fused [`BatchWorkspace`], and fold metrics straight off the engine's
-/// borrowed [`MemberView`](radio_sim::MemberView)s — no per-run
-/// [`Execution`](radio_sim::Execution) is ever materialized.
 ///
-/// Every column up to the measured tail is bit-identical to running
-/// [`election_metrics`] per member. The tail differs in the expected
-/// ways: `wall_ns` is the batch's elapsed time attributed evenly across
-/// its members (per-member timing inside a fused pass is not separable),
-/// and the cache counters account the *batch-local* compile dedupe — the
-/// first member of each distinct fingerprint records the real cache
-/// lookup, and members sharing its compile record a hit (with a cache
-/// attached; with `--no-cache` they record neither, since no cache was
-/// consulted — the batch-local dedupe is pure memoization of a pure
-/// function, not a cache policy).
+/// Every column up to the measured tail is independent of how runs are
+/// grouped into batches. The tail is not: `wall_ns` is the batch's
+/// elapsed time attributed evenly across its members (per-member timing
+/// inside a fused pass is not separable), and the cache counters account
+/// the *batch-local* compile dedupe — the first member of each distinct
+/// fingerprint records the real cache lookup, and members sharing its
+/// compile record a hit (with a cache attached; with `--no-cache` they
+/// record neither, since no cache was consulted — the batch-local dedupe
+/// is pure memoization of a pure function, not a cache policy).
 pub fn election_metrics_batched(
     workspace: &mut CampaignWorkspace,
-    spec: &CampaignSpec,
-    cell: &CellKey,
-    lo: usize,
-    hi: usize,
+    configs: &[Configuration],
+    model: ModelKind,
+    opts: RunOpts,
 ) -> Vec<RunMetrics> {
     // lint:allow(wall-clock): designated timing site feeding the wall_ns
     // column, which lives in the measured row tail
     let start = Instant::now();
-    let count = hi - lo;
+    let count = configs.len();
     let mut metrics = vec![RunMetrics::default(); count];
-    let configs: Vec<Configuration> = (lo..hi)
-        .map(|idx| spec.configuration(cell, idx % spec.reps))
-        .collect();
 
     // One compile per distinct fingerprint in the batch. The memo map is
     // only ever probed and inserted (never iterated), so member order
@@ -817,16 +675,11 @@ pub fn election_metrics_batched(
                 }
             }
             None => {
-                let compiled = match &workspace.cache {
-                    Some(cache) => {
-                        let (compiled, lookup) =
-                            cache.compile_in(&mut workspace.classifier, config);
-                        metrics[k].cache_hit = lookup.is_hit();
-                        metrics[k].cache_miss = !lookup.is_hit();
-                        compiled
-                    }
-                    None => CompiledElection::compile_in(&mut workspace.classifier, config),
-                };
+                let (compiled, lookup) = workspace.compile(config);
+                if let Some(lookup) = lookup {
+                    metrics[k].cache_hit = lookup.is_hit();
+                    metrics[k].cache_miss = !lookup.is_hit();
+                }
                 seen.insert(config_fingerprint(config), uniq.len());
                 which.push(uniq.len());
                 uniq.push(compiled);
@@ -861,7 +714,7 @@ pub fn election_metrics_batched(
     }
     if !runs.is_empty() {
         let batch = &mut workspace.batch;
-        batch.run_kind_with(cell.model, &runs, spec.opts, |i, outcome| {
+        batch.run_kind_with(model, &runs, opts, |i, outcome| {
             let k = run_members[i];
             let m = &mut metrics[k];
             match outcome {
@@ -901,7 +754,7 @@ pub fn election_metrics_batched(
             m.rounds_leapt = src.rounds_leapt;
         }
     }
-    let each = start.elapsed().as_nanos() as u64 / count as u64;
+    let each = start.elapsed().as_nanos() as u64 / count.max(1) as u64;
     let mem_hw = workspace.batch.mem_bytes() + workspace.classifier.mem_bytes();
     for m in &mut metrics {
         m.wall_ns = each;
@@ -915,12 +768,7 @@ pub fn election_metrics_batched(
 /// no simulation — the folded shape is the classifier's: iterations until
 /// the verdict, final class count, and the incremental worklist's actual
 /// relabel work.
-pub fn classify_metrics(
-    workspace: &mut CampaignWorkspace,
-    config: &Configuration,
-    _model: ModelKind,
-    _opts: RunOpts,
-) -> RunMetrics {
+pub fn classify_metrics(workspace: &mut CampaignWorkspace, config: &Configuration) -> RunMetrics {
     // lint:allow(wall-clock): designated timing site for the classify-row
     // wall_ns column, outside the deterministic prefix
     let start = Instant::now();
@@ -1069,24 +917,14 @@ impl CampaignRunner {
     }
 
     /// Executes the next shard over `threads` workers with the spec's
-    /// phase workload ([`election_metrics`] / [`classify_metrics`]).
-    /// Returns `None` when the campaign is complete.
+    /// phase workload. Returns `None` when the campaign is complete.
+    ///
+    /// The shard's run range is split into contiguous batches that never
+    /// cross a cell boundary; workers claim whole batches, and each
+    /// worker owns one [`CampaignWorkspace`] — simulation, batch and
+    /// classifier state — for the whole shard. Only the shard's
+    /// `RunMetrics` are materialized, never its executions or records.
     pub fn run_next_shard(&mut self, threads: usize) -> Option<ShardReport> {
-        match self.spec.phase {
-            Phase::Elect if self.spec.batch.enabled => self.run_next_shard_batched(threads),
-            Phase::Elect => self.run_next_shard_with(threads, &election_metrics),
-            Phase::Classify => self.run_next_shard_with(threads, &classify_metrics),
-        }
-    }
-
-    /// The batched elect-phase shard path: the shard's run range is split
-    /// into contiguous batches (pure position arithmetic — each batch
-    /// stays inside one cell and holds at most `spec.batch.size` runs, so
-    /// the split is invariant under threads and shard geometry), workers
-    /// claim whole batches, and every batch runs through the worker's
-    /// [`BatchWorkspace`] as one fused engine pass
-    /// ([`election_metrics_batched`]).
-    fn run_next_shard_batched(&mut self, threads: usize) -> Option<ShardReport> {
         if self.is_done() {
             return None;
         }
@@ -1096,16 +934,7 @@ impl CampaignRunner {
         // lint:allow(wall-clock): shard wall time feeds the stderr progress
         // report only, never a result row
         let started = Instant::now();
-        let reps = self.spec.reps;
-        let size = self.spec.batch.size.max(1);
-        let mut batches: Vec<(usize, usize)> = Vec::new();
-        let mut i = start;
-        while i < end {
-            let cell_end = (i / reps + 1) * reps;
-            let stop = cell_end.min(end).min(i + size);
-            batches.push((i, stop));
-            i = stop;
-        }
+        let batches = self.spec.batches(start, end);
         let spec = &self.spec;
         let cells = &self.cells;
         let cache = &self.cache;
@@ -1115,10 +944,7 @@ impl CampaignRunner {
             || CampaignWorkspace::with_cache(cache.clone()),
             |ws, &(lo, hi)| {
                 let cell_idx = lo / spec.reps;
-                (
-                    cell_idx,
-                    election_metrics_batched(ws, spec, &cells[cell_idx], lo, hi),
-                )
+                (cell_idx, run_batch(ws, spec, &cells[cell_idx], lo, hi))
             },
         );
         for (cell_idx, ms) in &results {
@@ -1129,52 +955,6 @@ impl CampaignRunner {
         Some(ShardReport {
             shard,
             runs: end - start,
-            wall_s: started.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// [`CampaignRunner::run_next_shard`] with a custom per-run workload
-    /// (the bench harness passes engine-comparison runners).
-    ///
-    /// Each worker thread owns one [`CampaignWorkspace`] — a simulation
-    /// workspace *and* a classifier workspace — for the whole shard; only
-    /// the shard's `RunMetrics` are materialized, never its executions or
-    /// records.
-    pub fn run_next_shard_with<F>(&mut self, threads: usize, run: &F) -> Option<ShardReport>
-    where
-        F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics + Sync,
-    {
-        if self.is_done() {
-            return None;
-        }
-        let shard = self.next_shard;
-        self.next_shard += 1;
-        let (start, end) = self.shard_range(shard);
-        let indices: Vec<usize> = (start..end).collect();
-        // lint:allow(wall-clock): shard wall time feeds the stderr progress
-        // report only, never a result row
-        let started = Instant::now();
-        let spec = &self.spec;
-        let cells = &self.cells;
-        let cache = &self.cache;
-        let metrics: Vec<(usize, RunMetrics)> = par_map_init(
-            &indices,
-            threads,
-            || CampaignWorkspace::with_cache(cache.clone()),
-            |ws, &idx| {
-                let cell_idx = idx / spec.reps;
-                let rep = idx % spec.reps;
-                let cell = &cells[cell_idx];
-                let config = spec.configuration(cell, rep);
-                (cell_idx, run(ws, &config, cell.model, spec.opts))
-            },
-        );
-        for (cell_idx, m) in &metrics {
-            self.aggregates[*cell_idx].fold(m);
-        }
-        Some(ShardReport {
-            shard,
-            runs: indices.len(),
             wall_s: started.elapsed().as_secs_f64(),
         })
     }
@@ -1271,26 +1051,43 @@ pub fn cell_row(phase: Phase, cell: &CellKey, agg: &CellAggregate) -> crate::row
 /// layer's per-*job* unit of dispatch, where a whole [`CampaignRunner`]
 /// per request would rebuild workspaces the resident worker already keeps
 /// warm. Seeds come from [`CampaignSpec::configuration`], which is
-/// positional, so the aggregate (and therefore the deterministic prefix
-/// of [`cell_row`]) is bit-identical to a full campaign over the same
-/// single-cell spec regardless of shard/thread geometry. Runs execute
-/// one at a time ([`election_metrics`] / [`classify_metrics`]); batching
-/// only changes the measured tail.
+/// positional, and runs are batched exactly as a campaign batches them,
+/// so the aggregate (and therefore the deterministic prefix of
+/// [`cell_row`]) is bit-identical to a full campaign over the same
+/// single-cell spec regardless of shard/thread geometry.
 pub fn run_cell(
     workspace: &mut CampaignWorkspace,
     spec: &CampaignSpec,
     cell: &CellKey,
 ) -> CellAggregate {
     let mut agg = CellAggregate::default();
-    for rep in 0..spec.reps {
-        let config = spec.configuration(cell, rep);
-        let metrics = match spec.phase {
-            Phase::Elect => election_metrics(workspace, &config, cell.model, spec.opts),
-            Phase::Classify => classify_metrics(workspace, &config, cell.model, spec.opts),
-        };
-        agg.fold(&metrics);
+    for (lo, hi) in spec.batches(0, spec.reps) {
+        for m in &run_batch(workspace, spec, cell, lo, hi) {
+            agg.fold(m);
+        }
     }
     agg
+}
+
+/// Runs one batch `lo..hi` (global run indices inside `cell`) with the
+/// spec's phase workload.
+fn run_batch(
+    workspace: &mut CampaignWorkspace,
+    spec: &CampaignSpec,
+    cell: &CellKey,
+    lo: usize,
+    hi: usize,
+) -> Vec<RunMetrics> {
+    let configs = (lo..hi).map(|idx| spec.configuration(cell, idx % spec.reps));
+    match spec.phase {
+        Phase::Elect => {
+            let configs: Vec<Configuration> = configs.collect();
+            election_metrics_batched(workspace, &configs, cell.model, spec.opts)
+        }
+        Phase::Classify => configs
+            .map(|config| classify_metrics(workspace, &config))
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -1441,30 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn family_kind_is_a_faithful_spec_alias() {
-        for kind in FamilyKind::ALL {
-            assert_eq!(kind.name(), kind.spec().to_string(), "{kind}");
-            let parsed: FamilySpec = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind.spec());
-            // the alias draws the same graphs as the spec
-            let a = kind.build(7, 3).unwrap();
-            let b = kind.spec().build(7, 3).unwrap();
-            assert_eq!(a.edges(), b.edges());
-        }
-    }
-
-    #[test]
-    fn family_kind_build_rejects_small_cycles() {
-        // the pre-grammar axis silently clamped Cycle to n=3; library
-        // callers must get an Err so a cell label can't disagree with the
-        // simulated graph
-        let err = FamilyKind::Cycle.build(2, 0).unwrap_err();
-        assert_eq!(err.n, 2);
-        assert!(err.to_string().contains("cycle"), "{err}");
-        assert!(FamilyKind::Cycle.build(3, 0).is_ok());
-    }
-
-    #[test]
     fn configurations_are_positional_and_model_independent() {
         let spec = tiny_spec();
         let cells = spec.cells();
@@ -1477,20 +1250,6 @@ mod tests {
         assert_eq!(a.graph().node_count(), c.graph().node_count());
         // derivation is stable across calls
         assert_eq!(a, spec.configuration(&cells[0], 1));
-    }
-
-    #[test]
-    fn family_kind_round_trips_names() {
-        for kind in FamilyKind::ALL {
-            let parsed: FamilyKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind);
-        }
-        assert_eq!("btree".parse::<FamilyKind>(), Ok(FamilyKind::BalancedTree));
-        assert!("kagome-lattice".parse::<FamilyKind>().is_err());
-        for kind in FamilyKind::ALL {
-            let g = kind.build(7, 3).unwrap();
-            assert!(radio_graph::algo::is_connected(&g), "{kind}");
-        }
     }
 
     #[test]
@@ -1638,24 +1397,24 @@ mod tests {
         // contaminate the cell's rounds/transmissions statistics.
         let config = radio_graph::families::h_m(9); // needs well over 2 rounds
         let mut ws = CampaignWorkspace::new();
-        let m = election_metrics(
+        let m = election_metrics_batched(
             &mut ws,
-            &config,
+            std::slice::from_ref(&config),
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::with_max_rounds(2),
-        );
+        )[0];
         assert!(m.feasible && m.aborted && !m.elected);
         let mut agg = CellAggregate::default();
         agg.fold(&m);
         assert_eq!((agg.runs, agg.feasible, agg.aborted), (1, 1, 1));
         assert!(agg.rounds.is_empty(), "no zero sample folded");
         // a completed run folds normally alongside it
-        let ok = election_metrics(
+        let ok = election_metrics_batched(
             &mut ws,
-            &config,
+            &[config],
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::default(),
-        );
+        )[0];
         agg.fold(&ok);
         assert_eq!(agg.rounds.count(), 1);
         assert!(agg.rounds.min().unwrap() > 2.0);
@@ -1667,12 +1426,12 @@ mod tests {
         let config =
             Configuration::with_uniform_tags(radio_graph::generators::cycle(4), 0).unwrap();
         let mut ws = CampaignWorkspace::new();
-        let m = election_metrics(
+        let m = election_metrics_batched(
             &mut ws,
-            &config,
+            &[config],
             ModelKind::NoCollisionDetection,
             RunOpts::default(),
-        );
+        )[0];
         assert!(!m.feasible);
         assert!(!m.elected);
         assert_eq!(m.rounds, 0);
@@ -1682,12 +1441,7 @@ mod tests {
     fn classify_metrics_reports_the_classifier_shape() {
         let mut ws = CampaignWorkspace::new();
         let feasible = radio_graph::families::h_m(3);
-        let m = classify_metrics(
-            &mut ws,
-            &feasible,
-            ModelKind::NoCollisionDetection,
-            RunOpts::default(),
-        );
+        let m = classify_metrics(&mut ws, &feasible);
         assert!(m.feasible);
         assert_eq!(m.iterations, 1);
         assert_eq!(m.classes, 4);
@@ -1695,12 +1449,7 @@ mod tests {
         assert_eq!((m.rounds, m.transmissions, m.elected as u64), (0, 0, 0));
 
         let infeasible = radio_graph::families::s_m(2);
-        let m = classify_metrics(
-            &mut ws,
-            &infeasible,
-            ModelKind::NoCollisionDetection,
-            RunOpts::default(),
-        );
+        let m = classify_metrics(&mut ws, &infeasible);
         assert!(!m.feasible);
         assert_eq!(m.iterations, 2);
         assert_eq!(m.classes, 2);
@@ -1775,12 +1524,12 @@ mod tests {
 
     #[test]
     fn cached_campaign_reports_hits_in_rows_and_stats() {
-        // The one-lookup-per-run accounting asserted below is the
-        // *sequential* path's contract; the batched path dedupes compiles
-        // within a batch, so its lookup count can be below total_runs
-        // (pinned by batched_dedupe_accounts_hits_without_extra_lookups).
+        // The one-lookup-per-run accounting asserted below holds for
+        // one-run batches; larger batches dedupe compiles within a batch,
+        // so their lookup count can be below total_runs (pinned by
+        // batched_dedupe_accounts_hits_without_extra_lookups).
         let mut spec = tiny_spec();
-        spec.batch = BatchConfig::disabled();
+        spec.batch = BatchConfig::with_size(1);
         let mut runner = CampaignRunner::new(spec, 2);
         runner.run_to_completion(2);
         let stats = runner
@@ -1813,8 +1562,8 @@ mod tests {
         // Arith tags redraw the same tag vector every rep, so every batch
         // holds duplicate fingerprints: the batch-local memo answers them
         // without consulting the shared cache, while their metrics still
-        // record hits. Rows stay bit-identical to the unbatched campaign
-        // up to the measured tail.
+        // record hits. Rows stay bit-identical to the one-run-per-batch
+        // campaign up to the measured tail.
         let mut spec = tiny_spec();
         spec.tags = vec![TagStrategy::Arith { stride: 1 }];
         spec.reps = 6;
@@ -1830,7 +1579,7 @@ mod tests {
         assert!(folded >= stats.hits, "{folded} vs {stats:?}");
         assert!(folded > 0, "deduped members still record hits");
         let mut seq_spec = spec;
-        seq_spec.batch = BatchConfig::disabled();
+        seq_spec.batch = BatchConfig::with_size(1);
         let mut seq = CampaignRunner::new(seq_spec, 2);
         seq.run_to_completion(2);
         let strip = |rows: Vec<String>| -> Vec<String> {
@@ -1899,8 +1648,10 @@ mod tests {
                 let direct = spec.configuration(&cell, rep);
                 let legacy = spec.configuration_via_graph(&cell, rep);
                 assert_eq!(direct, legacy, "{cell} rep {rep}: configurations diverge");
-                let a = election_metrics(&mut ws_direct, &direct, cell.model, spec.opts);
-                let b = election_metrics(&mut ws_legacy, &legacy, cell.model, spec.opts);
+                let a =
+                    election_metrics_batched(&mut ws_direct, &[direct], cell.model, spec.opts)[0];
+                let b =
+                    election_metrics_batched(&mut ws_legacy, &[legacy], cell.model, spec.opts)[0];
                 // Everything except the measured tail (wall_ns, mem_hw).
                 assert_eq!(
                     (a.feasible, a.elected, a.simulated, a.aborted, a.rounds),

@@ -1,5 +1,6 @@
-//! The dedicated leader-election algorithm `(D_G, f_G)` for a feasible
-//! configuration, bundled.
+//! The dedicated leader-election algorithm `(D_G, f_G)` for a
+//! configuration (Theorem 3.15), compiled once and run against the
+//! configuration it was compiled for.
 
 use std::sync::Arc;
 
@@ -7,27 +8,25 @@ use radio_graph::{Configuration, NodeId};
 use radio_sim::{run_election_resident, ModelKind, RunOpts, SimError, SimWorkspace};
 
 use crate::api::{ElectError, ElectionReport, Infeasible};
-use crate::cache::ScheduleCache;
 use crate::canonical::CanonicalFactory;
 use crate::decision::LeaderDecision;
 use crate::schedule::{CanonicalSchedule, SharedSchedule};
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 
-/// The configuration-free half of a dedicated election: the classifier's
+/// The configuration-free product of classify + compile: the classifier's
 /// lean summary plus the compiled schedule behind its shared [`Arc`].
 ///
-/// This is what the classify + compile pipeline actually *produces* — and
-/// therefore what the [`ScheduleCache`] stores and shares: cloning a
+/// Compile with [`CompiledElection::compile_in`] (or
+/// [`ScheduleCache::compile_in`](crate::ScheduleCache::compile_in) when
+/// cached) and run with [`CompiledElection::run_in`] — the one way every
+/// surface (API, CLI, campaign, serve) elects a leader. Cloning a
 /// `CompiledElection` copies a `Copy` summary and bumps one `Arc` count,
-/// never the canonical lists. The campaign's per-run path works entirely
-/// on this type against a borrowed configuration, so even uncached solves
-/// shed the per-run deep `Configuration` clone the old
-/// [`DedicatedElection::solve_in`] paid just to store an owned copy.
+/// never the canonical lists, and running it borrows the configuration
+/// instead of storing a copy.
 ///
-/// Unlike [`DedicatedElection`], a `CompiledElection` exists for
-/// infeasible configurations too (the canonical DRIP is well-defined
-/// there; only the leader is absent) — check [`CompiledElection::feasible`]
-/// before asking for the leader.
+/// A `CompiledElection` exists for infeasible configurations too (the
+/// canonical DRIP is well-defined there; only the leader is absent) —
+/// check [`CompiledElection::feasible`] before asking for the leader.
 #[derive(Debug, Clone)]
 pub struct CompiledElection {
     summary: ClassifySummary,
@@ -103,6 +102,19 @@ impl CompiledElection {
     /// Simulates `(D_G, f_G)` on `config` — which must be the
     /// configuration this algorithm was compiled for — through a
     /// caller-provided [`SimWorkspace`], and returns a validated report.
+    ///
+    /// An infeasible compilation fails with [`ElectError::Simulation`]
+    /// naming the [`Infeasible`] verdict, before anything is simulated.
+    ///
+    /// The canonical DRIP's correctness proof (Theorem 3.15) only covers
+    /// the paper's model — the default [`ModelKind::NoCollisionDetection`].
+    /// Under a foreign channel the run is still deterministic and total,
+    /// but the exactly-one-leader contract may fail, surfacing as
+    /// [`ElectError::Contract`] or [`ElectError::PredictionMismatch`].
+    ///
+    /// By default the engine time-leaps the schedule's silent stretches,
+    /// so high-σ elections run in time proportional to their *events*;
+    /// pass `opts.no_leap()` to force round-by-round execution.
     pub fn run_in(
         &self,
         workspace: &mut SimWorkspace,
@@ -110,6 +122,12 @@ impl CompiledElection {
         model: ModelKind,
         opts: RunOpts,
     ) -> Result<ElectionReport, ElectError> {
+        if !self.feasible() {
+            let infeasible = Infeasible {
+                iterations: self.summary.iterations,
+            };
+            return Err(ElectError::Simulation(infeasible.to_string()));
+        }
         // Resident run over *length-only* histories: the streaming
         // canonical DRIP folds every observation into a per-node match
         // cursor as it lands and resolves the leader verdict itself at
@@ -159,196 +177,33 @@ impl CompiledElection {
     }
 }
 
-/// The dedicated leader-election algorithm compiled for one feasible
-/// configuration: the canonical DRIP `D_G` plus the decision function
-/// `f_G` (Theorem 3.15).
-///
-/// The classifier's by-products are kept in compiled form only — the
-/// canonical lists inside the schedule plus the lean [`ClassifySummary`]
-/// — never as eager per-iteration records; compiling through
-/// [`DedicatedElection::solve_in`] recycles a caller-held
-/// [`ClassifierWorkspace`]. This owned convenience type stores one
-/// `Configuration` clone so `run()` is a single call; the campaign layers
-/// instead work on the borrowing [`CompiledElection`] (optionally through
-/// a [`ScheduleCache`]) and never pay that clone per run.
-#[derive(Debug)]
-pub struct DedicatedElection {
-    config: Configuration,
-    compiled: CompiledElection,
-}
-
-impl DedicatedElection {
-    /// Runs `Classifier` on `config`; returns the dedicated algorithm when
-    /// feasible, [`Infeasible`] otherwise.
-    pub fn solve(config: &Configuration) -> Result<DedicatedElection, Infeasible> {
-        DedicatedElection::solve_in(&mut ClassifierWorkspace::new(), config)
-    }
-
-    /// [`DedicatedElection::solve`] through a caller-provided
-    /// [`ClassifierWorkspace`] — classification runs incrementally on
-    /// recycled buffers and the canonical lists stream out of the run
-    /// (see [`CanonicalSchedule::build_in`]).
-    pub fn solve_in(
-        workspace: &mut ClassifierWorkspace,
-        config: &Configuration,
-    ) -> Result<DedicatedElection, Infeasible> {
-        DedicatedElection::from_compiled(config, CompiledElection::compile_in(workspace, config))
-    }
-
-    /// [`DedicatedElection::solve_in`] through a [`ScheduleCache`]: a key
-    /// hit returns the cached summary + schedule (sharing the schedule
-    /// `Arc`, skipping classification entirely on an exact hit); a miss
-    /// classifies once and populates the cache. Results are bit-identical
-    /// to the uncached path.
-    pub fn solve_cached(
-        workspace: &mut ClassifierWorkspace,
-        config: &Configuration,
-        cache: &ScheduleCache,
-    ) -> Result<DedicatedElection, Infeasible> {
-        let (compiled, _) = cache.compile_in(workspace, config);
-        DedicatedElection::from_compiled(config, compiled)
-    }
-
-    fn from_compiled(
-        config: &Configuration,
-        compiled: CompiledElection,
-    ) -> Result<DedicatedElection, Infeasible> {
-        if !compiled.feasible() {
-            return Err(Infeasible {
-                iterations: compiled.summary().iterations,
-            });
-        }
-        Ok(DedicatedElection {
-            config: config.clone(),
-            compiled,
-        })
-    }
-
-    /// The configuration-free compiled half (summary + shared schedule).
-    pub fn compiled(&self) -> &CompiledElection {
-        &self.compiled
-    }
-
-    /// The classifier summary backing this algorithm (feasibility,
-    /// iterations, class count, leader class).
-    pub fn summary(&self) -> ClassifySummary {
-        self.compiled.summary()
-    }
-
-    /// The compiled schedule (σ, lists, phase geometry).
-    pub fn schedule(&self) -> &CanonicalSchedule {
-        self.compiled.schedule()
-    }
-
-    /// The DRIP factory (`D_G`) — install at every node.
-    pub fn factory(&self) -> CanonicalFactory {
-        self.compiled.factory()
-    }
-
-    /// The decision function (`f_G`).
-    pub fn decision(&self) -> LeaderDecision {
-        self.compiled.decision()
-    }
-
-    /// The leader `Classifier` predicts: the representative of the
-    /// singleton leader class. The simulation must elect exactly this node.
-    pub fn predicted_leader(&self) -> NodeId {
-        self.compiled.predicted_leader()
-    }
-
-    /// The number of local rounds until every node terminates
-    /// (`r_T + 1` — the `O(n²σ)` bound of Lemma 3.10 applies).
-    pub fn rounds_bound(&self) -> u64 {
-        self.compiled.rounds_bound()
-    }
-
-    /// Simulates `(D_G, f_G)` on the configuration and returns a validated
-    /// report.
-    pub fn run(&self) -> Result<ElectionReport, ElectError> {
-        self.run_with(RunOpts::default())
-    }
-
-    /// [`DedicatedElection::run`] with explicit executor options.
-    pub fn run_with(&self, opts: RunOpts) -> Result<ElectionReport, ElectError> {
-        self.run_under(ModelKind::default(), opts)
-    }
-
-    /// [`DedicatedElection::run`] under an explicit channel model.
-    ///
-    /// The canonical DRIP's correctness proof (Theorem 3.15) only covers
-    /// the paper's model — the default [`ModelKind::NoCollisionDetection`].
-    /// Under a foreign channel the run is still deterministic and total,
-    /// but the exactly-one-leader contract may fail, surfacing as
-    /// [`ElectError::Contract`] or [`ElectError::PredictionMismatch`].
-    ///
-    /// By default the engine time-leaps the schedule's silent stretches
-    /// (the canonical DRIP advertises its transmission timetable via
-    /// `quiet_until`), which makes high-σ elections run in time
-    /// proportional to their *events* rather than their rounds. The
-    /// report's `rounds_stepped` / `rounds_leapt` break this down; pass
-    /// `opts.no_leap()` to force round-by-round execution.
-    pub fn run_under(&self, model: ModelKind, opts: RunOpts) -> Result<ElectionReport, ElectError> {
-        self.run_in(&mut SimWorkspace::new(), model, opts)
-    }
-
-    /// [`DedicatedElection::run_under`] through a caller-provided
-    /// [`SimWorkspace`] — the campaign runner's per-worker path, which
-    /// recycles all engine state across back-to-back elections.
-    pub fn run_in(
-        &self,
-        workspace: &mut SimWorkspace,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<ElectionReport, ElectError> {
-        self.compiled.run_in(workspace, &self.config, model, opts)
-    }
-
-    /// Convenience: run the canonical DRIP and return the raw execution
-    /// (used by validators and experiments).
-    pub fn execute(&self, opts: RunOpts) -> Result<radio_sim::Execution, SimError> {
-        self.execute_under(ModelKind::default(), opts)
-    }
-
-    /// [`DedicatedElection::execute`] under an explicit channel model.
-    pub fn execute_under(
-        &self,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<radio_sim::Execution, SimError> {
-        let factory = self.factory();
-        model.run(&self.config, &factory, opts)
-    }
-
-    /// [`DedicatedElection::execute_under`] through a caller-provided
-    /// [`SimWorkspace`].
-    pub fn execute_in(
-        &self,
-        workspace: &mut SimWorkspace,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<radio_sim::Execution, SimError> {
-        let factory = self.factory();
-        workspace.run_kind(model, &self.config, &factory, opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use radio_graph::{families, generators, tags, Configuration};
 
-    #[test]
-    fn solve_rejects_infeasible() {
-        let err = DedicatedElection::solve(&families::s_m(2)).unwrap_err();
-        assert_eq!(err.iterations, 2);
+    fn compile(config: &Configuration) -> CompiledElection {
+        CompiledElection::compile_in(&mut ClassifierWorkspace::new(), config)
+    }
+
+    fn run(compiled: &CompiledElection, config: &Configuration) -> ElectionReport {
+        compiled
+            .run_in(
+                &mut SimWorkspace::new(),
+                config,
+                ModelKind::default(),
+                RunOpts::default(),
+            )
+            .unwrap()
     }
 
     #[test]
     fn h_m_elects_node_a() {
         for m in [1u64, 3, 10] {
-            let d = DedicatedElection::solve(&families::h_m(m)).unwrap();
+            let config = families::h_m(m);
+            let d = compile(&config);
             assert_eq!(d.predicted_leader(), 0);
-            let report = d.run().unwrap();
+            let report = run(&d, &config);
             assert_eq!(report.leader, 0, "H_{m}");
             assert_eq!(report.n, 4);
             assert_eq!(report.phases, 1);
@@ -358,8 +213,9 @@ mod tests {
     #[test]
     fn g_m_elects_some_unique_node() {
         for m in [2usize, 3] {
-            let d = DedicatedElection::solve(&families::g_m(m)).unwrap();
-            let report = d.run().unwrap();
+            let config = families::g_m(m);
+            let d = compile(&config);
+            let report = run(&d, &config);
             // Classifier's singleton class contains the centre... the
             // smallest singleton may be another separated node; what the
             // contract guarantees is *uniqueness* and prediction agreement.
@@ -374,8 +230,9 @@ mod tests {
         for _ in 0..10 {
             let g = generators::gnp_connected(8, 0.3, &mut rng);
             let c = tags::distinct_shuffled(g, &mut rng);
-            let d = DedicatedElection::solve(&c).expect("distinct tags are feasible");
-            let report = d.run().unwrap();
+            let d = compile(&c);
+            assert!(d.feasible(), "distinct tags are feasible");
+            let report = run(&d, &c);
             let n = report.n as u64;
             let sigma = report.sigma.max(1);
             // Lemma 3.10: ⌈n/2⌉ phases × (n blocks × (2σ+1) + σ) rounds.
@@ -389,22 +246,25 @@ mod tests {
     }
 
     #[test]
-    fn solve_in_matches_solve_across_reuse() {
+    fn compile_in_matches_a_fresh_compile_across_reuse() {
         let mut ws = radio_classifier::ClassifierWorkspace::new();
+        let mut sim = SimWorkspace::new();
         for config in [families::h_m(3), families::g_m(3), families::h_m(1)] {
-            let fresh = DedicatedElection::solve(&config).unwrap();
-            let reused = DedicatedElection::solve_in(&mut ws, &config).unwrap();
+            let fresh = compile(&config);
+            let reused = CompiledElection::compile_in(&mut ws, &config);
             assert_eq!(reused.summary(), fresh.summary());
             assert_eq!(reused.predicted_leader(), fresh.predicted_leader());
             assert_eq!(reused.schedule().lists, fresh.schedule().lists);
             assert_eq!(reused.schedule().phase_end, fresh.schedule().phase_end);
-            let a = reused.run().unwrap();
-            let b = fresh.run().unwrap();
-            assert_eq!(a, b);
+            let a = reused
+                .run_in(&mut sim, &config, ModelKind::default(), RunOpts::default())
+                .unwrap();
+            assert_eq!(a, run(&fresh, &config), "{config}");
         }
         // infeasible through the workspace too
-        let err = DedicatedElection::solve_in(&mut ws, &families::s_m(2)).unwrap_err();
-        assert_eq!(err.iterations, 2);
+        let infeasible = CompiledElection::compile_in(&mut ws, &families::s_m(2));
+        assert!(!infeasible.feasible());
+        assert_eq!(infeasible.summary().iterations, 2);
     }
 
     #[test]
@@ -416,25 +276,6 @@ mod tests {
         // the schedule is well-defined; only the leader class is absent
         assert!(compiled.schedule().lists.leader_class.is_none());
         assert!(compiled.rounds_bound() >= 1);
-    }
-
-    #[test]
-    fn compiled_run_in_matches_the_owned_path() {
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        let mut sim = SimWorkspace::new();
-        for config in [families::h_m(2), families::g_m(3)] {
-            let compiled = CompiledElection::compile_in(&mut ws, &config);
-            let borrowed = compiled
-                .run_in(
-                    &mut sim,
-                    &config,
-                    ModelKind::NoCollisionDetection,
-                    RunOpts::default(),
-                )
-                .unwrap();
-            let owned = DedicatedElection::solve(&config).unwrap().run().unwrap();
-            assert_eq!(borrowed, owned, "{config}");
-        }
     }
 
     #[test]
@@ -450,8 +291,7 @@ mod tests {
     #[test]
     fn singleton_graph_elects_its_node() {
         let c = Configuration::new(generators::path(1), vec![0]).unwrap();
-        let d = DedicatedElection::solve(&c).unwrap();
-        let report = d.run().unwrap();
+        let report = run(&compile(&c), &c);
         assert_eq!(report.leader, 0);
         assert_eq!(report.n, 1);
     }

@@ -91,7 +91,6 @@ use crate::campaign::{
     cell_row, run_cell, BatchConfig, CampaignSpec, CampaignWorkspace, FamilySpec, Phase,
     TagStrategy,
 };
-use crate::dedicated::CompiledElection;
 
 /// Supervisor knobs for a serve session or daemon.
 #[derive(Debug, Clone)]
@@ -670,7 +669,7 @@ impl CellJob {
             } else {
                 CacheConfig::disabled()
             },
-            batch: BatchConfig::disabled(),
+            batch: BatchConfig::default(),
         }
     }
 }
@@ -777,22 +776,6 @@ fn lookup_name(lookup: Option<CacheLookup>) -> &'static str {
 // Job execution (worker side)
 // ---------------------------------------------------------------------------
 
-fn compile_with_cache(
-    ws: &mut CampaignWorkspace,
-    config: &Configuration,
-) -> (CompiledElection, Option<CacheLookup>) {
-    match &ws.cache {
-        Some(cache) => {
-            let (compiled, lookup) = cache.compile_in(&mut ws.classifier, config);
-            (compiled, Some(lookup))
-        }
-        None => (
-            CompiledElection::compile_in(&mut ws.classifier, config),
-            None,
-        ),
-    }
-}
-
 /// Appends the per-job cache verdict and the shared cache's cumulative
 /// counters — the reply-visible form of the campaign rows' cache columns.
 fn with_cache_fields(
@@ -815,7 +798,7 @@ fn run_elect_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> Strin
         Ok(config) => config,
         Err(msg) => return error_reply(id, "bad-request", &msg),
     };
-    let (compiled, lookup) = compile_with_cache(ws, &config);
+    let (compiled, lookup) = ws.compile(&config);
     if !compiled.feasible() {
         let reply = Reply::ok(id, "elect")
             .bool("feasible", false)

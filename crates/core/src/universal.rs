@@ -21,8 +21,8 @@
 
 use radio_graph::{families, Configuration, NodeId};
 use radio_sim::{
-    run_election, run_election_model, Action, DripFactory, History, HistoryView, LeaderAlgorithm,
-    Msg, PureFactory, RadioModel, RunOpts,
+    run_election, Action, DripFactory, History, HistoryView, LeaderAlgorithm, ModelKind, Msg,
+    PureFactory, RunOpts,
 };
 
 /// A candidate universal leader-election algorithm: a DRIP plus a decision
@@ -99,17 +99,18 @@ pub fn silence_breaking_round(factory: &dyn DripFactory, probe_limit: u64) -> Op
 /// election time on any `H_m` would exceed the probe limit anyway, and a
 /// DRIP that *never* transmits fails on every `H_m`).
 pub fn refute_universal(candidate: &UniversalCandidate, probe_limit: u64) -> Refutation {
-    refute_universal_model::<radio_sim::NoCollisionDetection>(candidate, probe_limit)
+    refute_universal_model(candidate, probe_limit, ModelKind::default())
 }
 
 /// [`refute_universal`] under an explicit channel model.
 ///
 /// The mirror-symmetry argument is channel-agnostic: whatever the model
 /// delivers to `a` it delivers to `d` (and to `b` what it delivers to
-/// `c`), so the symmetric-pair evidence survives any [`RadioModel`].
-pub fn refute_universal_model<M: RadioModel>(
+/// `c`), so the symmetric-pair evidence survives any [`ModelKind`].
+pub fn refute_universal_model(
     candidate: &UniversalCandidate,
     probe_limit: u64,
+    model: ModelKind,
 ) -> Refutation {
     let t = match silence_breaking_round(candidate.factory.as_ref(), probe_limit) {
         Some(t) => t,
@@ -133,7 +134,7 @@ pub fn refute_universal_model<M: RadioModel>(
     // Generous limit: the candidate terminated its probe node within
     // probe_limit rounds of silence; give the real run ample room.
     let opts = RunOpts::with_max_rounds(8 * (probe_limit + m) + 64);
-    let outcome = run_election_model::<M>(&config, &algorithm, opts)
+    let outcome = run_election(model, &config, &algorithm, opts)
         .expect("candidate DRIPs must terminate within the probe-derived bound");
 
     let ex = &outcome.execution;
@@ -239,7 +240,7 @@ pub fn gallery() -> Vec<UniversalCandidate> {
     // 5. The paper's own dedicated algorithm for H_1, misused as if it
     //    were universal: dedicated ≠ universal.
     let h1 = families::h_m(1);
-    let dedicated = crate::dedicated::DedicatedElection::solve(&h1).expect("H_1 is feasible");
+    let dedicated = crate::api::solve(&h1).expect("H_1 is feasible");
     let decision = dedicated.decision();
     candidates.push(UniversalCandidate {
         name: "dedicated-H1-misused".into(),
@@ -270,7 +271,12 @@ pub fn works_on(candidate: &UniversalCandidate, config: &Configuration) -> bool 
         drip: candidate.factory.as_ref(),
         decide: &|h: &History| (candidate.decide)(h),
     };
-    match run_election(config, &algorithm, RunOpts::with_max_rounds(100_000)) {
+    match run_election(
+        ModelKind::default(),
+        config,
+        &algorithm,
+        RunOpts::with_max_rounds(100_000),
+    ) {
         Ok(outcome) => outcome.is_valid(),
         Err(_) => false,
     }

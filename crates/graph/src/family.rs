@@ -732,6 +732,15 @@ mod tests {
         let gnp = "gnp:0.05".parse::<FamilySpec>().unwrap();
         assert_eq!(gnp, FamilySpec::Gnp { ppm: Some(50_000) });
         assert_eq!(gnp.to_string(), "gnp:0.05");
+        // short aliases of the six original campaign families
+        assert_eq!(
+            "btree".parse::<FamilySpec>().unwrap(),
+            FamilySpec::Tree { arity: 2 }
+        );
+        assert_eq!(
+            "rtree".parse::<FamilySpec>().unwrap(),
+            FamilySpec::RandomTree
+        );
     }
 
     #[test]
@@ -769,7 +778,9 @@ mod tests {
 
     #[test]
     fn scalable_constraints_are_errors_not_clamps() {
-        assert!(FamilySpec::Cycle.build(2, 0).is_err());
+        let err = FamilySpec::Cycle.build(2, 0).unwrap_err();
+        assert_eq!(err.n, 2);
+        assert!(err.to_string().contains("cycle"), "{err}");
         assert!(FamilySpec::Cycle.build(3, 0).is_ok());
         assert!(FamilySpec::Wheel.build(3, 0).is_err());
         assert!(FamilySpec::Ladder.build(7, 0).is_err(), "odd ladder");
@@ -783,8 +794,9 @@ mod tests {
 
     #[test]
     fn legacy_streams_are_preserved() {
-        // FamilySpec must draw exactly the graphs the old FamilyKind axis
-        // drew, so pre-existing campaign rows stay reproducible.
+        // FamilySpec must draw exactly the graphs the original six-family
+        // campaign axis drew, so pre-existing campaign rows stay
+        // reproducible.
         let a = FamilySpec::RandomTree.build(9, 77).unwrap();
         let b = generators::random_tree(9, &mut rng_from(derive(77, "rtree")));
         assert_eq!(a.edges(), b.edges());

@@ -10,9 +10,9 @@
 use radio_graph::{Configuration, NodeId};
 
 use crate::drip::DripFactory;
-use crate::engine::{Execution, Executor, RunOpts, SimError};
+use crate::engine::{Execution, RunOpts, SimError};
 use crate::history::History;
-use crate::model::{NoCollisionDetection, RadioModel};
+use crate::model::ModelKind;
 
 /// A leader-election algorithm: the DRIP and its decision function.
 pub struct LeaderAlgorithm<'a> {
@@ -53,43 +53,17 @@ impl ElectionOutcome {
     }
 }
 
-/// Runs `(D, f)` on `config` under the paper's channel model.
+/// Runs `(D, f)` on `config` under `model`, materializing every node's
+/// history (see [`ElectionOutcome::execution`]). Production elections
+/// use [`run_election_resident`] instead, which leaves histories in the
+/// workspace arena.
 pub fn run_election(
+    model: ModelKind,
     config: &Configuration,
     algorithm: &LeaderAlgorithm<'_>,
     opts: RunOpts,
 ) -> Result<ElectionOutcome, SimError> {
-    run_election_model::<NoCollisionDetection>(config, algorithm, opts)
-}
-
-/// [`run_election`] under a runtime-selected channel model.
-pub fn run_election_under(
-    model: crate::model::ModelKind,
-    config: &Configuration,
-    algorithm: &LeaderAlgorithm<'_>,
-    opts: RunOpts,
-) -> Result<ElectionOutcome, SimError> {
-    run_election_in(
-        &mut crate::workspace::SimWorkspace::new(),
-        model,
-        config,
-        algorithm,
-        opts,
-    )
-}
-
-/// [`run_election_under`] through a caller-provided
-/// [`SimWorkspace`](crate::SimWorkspace) — the batch layers run thousands
-/// of elections per worker thread through one workspace, so the engine
-/// state is recycled instead of reallocated per election.
-pub fn run_election_in(
-    workspace: &mut crate::workspace::SimWorkspace,
-    model: crate::model::ModelKind,
-    config: &Configuration,
-    algorithm: &LeaderAlgorithm<'_>,
-    opts: RunOpts,
-) -> Result<ElectionOutcome, SimError> {
-    let execution = workspace.run_kind(model, config, algorithm.drip, opts)?;
+    let execution = model.run(config, algorithm.drip, opts)?;
     let leaders = (0..config.size() as NodeId)
         .filter(|&v| (algorithm.decide)(execution.history(v)))
         .collect();
@@ -119,14 +93,14 @@ impl ResidentOutcome {
     }
 }
 
-/// [`run_election_in`] without materializing the execution: runs the DRIP
+/// [`run_election`] without materializing the execution: runs the DRIP
 /// resident in `workspace`, then applies the *view-based* decision
 /// function straight over the observation arena. Bit-identical leaders to
 /// the materializing path (the views read the very same entries the owned
 /// histories would be cloned from), at none of the per-node clone cost.
 pub fn run_election_resident(
     workspace: &mut crate::workspace::SimWorkspace,
-    model: crate::model::ModelKind,
+    model: ModelKind,
     config: &Configuration,
     drip: &dyn DripFactory,
     decide: &(dyn Fn(crate::history::HistoryView<'_>) -> bool + Sync),
@@ -147,19 +121,6 @@ pub fn run_election_resident(
             .collect()
     };
     Ok(ResidentOutcome { leaders, run })
-}
-
-/// [`run_election`] under an explicit channel model `M`.
-pub fn run_election_model<M: RadioModel>(
-    config: &Configuration,
-    algorithm: &LeaderAlgorithm<'_>,
-    opts: RunOpts,
-) -> Result<ElectionOutcome, SimError> {
-    let execution = Executor::run_model::<M>(config, algorithm.drip, opts)?;
-    let leaders = (0..config.size() as NodeId)
-        .filter(|&v| (algorithm.decide)(execution.history(v)))
-        .collect();
-    Ok(ElectionOutcome { leaders, execution })
 }
 
 #[cfg(test)]
@@ -184,7 +145,7 @@ mod tests {
             drip: &drip,
             decide: &|h: &History| h[0].is_message(),
         };
-        let out = run_election(&c, &algo, RunOpts::default()).unwrap();
+        let out = run_election(ModelKind::default(), &c, &algo, RunOpts::default()).unwrap();
         assert_eq!(out.leaders, vec![1]);
         assert_eq!(out.elected(), Some(1));
         assert!(out.is_valid());
@@ -205,7 +166,7 @@ mod tests {
             drip: &drip,
             decide: &|_h: &History| true,
         };
-        let out = run_election(&c, &all, RunOpts::default()).unwrap();
+        let out = run_election(ModelKind::default(), &c, &all, RunOpts::default()).unwrap();
         assert_eq!(out.leaders.len(), 4);
         assert!(!out.is_valid());
         assert_eq!(out.elected(), None);
@@ -213,7 +174,7 @@ mod tests {
             drip: &drip,
             decide: &|_h: &History| false,
         };
-        let out = run_election(&c, &none, RunOpts::default()).unwrap();
+        let out = run_election(ModelKind::default(), &c, &none, RunOpts::default()).unwrap();
         assert!(out.leaders.is_empty());
         assert!(!out.is_valid());
     }

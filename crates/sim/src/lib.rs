@@ -101,8 +101,7 @@ pub mod workspace;
 pub use batch::{BatchRun, BatchWorkspace, MemberView};
 pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
 pub use election::{
-    run_election, run_election_in, run_election_model, run_election_resident, run_election_under,
-    ElectionOutcome, LeaderAlgorithm, ResidentOutcome,
+    run_election, run_election_resident, ElectionOutcome, LeaderAlgorithm, ResidentOutcome,
 };
 pub use engine::{ExecStats, Execution, Executor, RunOpts, SimError};
 pub use history::{History, HistoryView};

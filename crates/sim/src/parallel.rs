@@ -15,10 +15,8 @@
 //! into fixed-size chunks, the shared atomic cursor hands out *chunks*
 //! (not items), and the worker that claims a chunk takes its mutex exactly
 //! once and writes every slot directly. No lock is ever contended (each
-//! chunk has exactly one owner), unlike the original per-item
-//! `Mutex<Option<R>>` slots, which paid a lock round-trip per item
-//! ([`par_map_mutex_baseline`] preserves that implementation as the
-//! regression baseline for the batch Criterion bench).
+//! chunk has exactly one owner), and no item pays a lock round-trip of its
+//! own.
 //!
 //! `std::thread::scope` + `std::sync::Mutex` keep this dependency-free and
 //! data-race-free; the scope guarantees all borrows end before the
@@ -140,51 +138,6 @@ fn chunk_size(n: usize, threads: usize) -> usize {
     balanced.max(even.min(8)).clamp(1, 1024)
 }
 
-/// The pre-refactor implementation — dynamic per-item cursor with one
-/// `Mutex<Option<R>>` slot per item — retained verbatim as the baseline
-/// the batch Criterion bench (`benches/batch.rs`) compares the
-/// chunked lock-free path against. Not for new code.
-pub fn par_map_mutex_baseline<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("no poisoned slot") = Some(r);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned slot")
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 /// The worker count [`par_map`] uses: `available_parallelism`, or 1 if the
 /// platform cannot report it.
 pub fn default_threads() -> usize {
@@ -254,8 +207,6 @@ mod tests {
         let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         let parallel = par_map(&items, |x| x * x + 1);
         assert_eq!(parallel, serial);
-        let baseline = par_map_mutex_baseline(&items, 4, |x| x * x + 1);
-        assert_eq!(baseline, serial);
     }
 
     #[test]

@@ -23,20 +23,26 @@ fn main() {
     println!("feasible: yes — compiling the dedicated algorithm");
 
     // 2. Compile the dedicated algorithm (D_G, f_G) (Theorem 3.15)…
-    let dedicated = solve(&config).expect("checked feasible above");
+    let compiled = solve(&config).expect("checked feasible above");
     println!(
         "canonical DRIP: {} phase(s), terminates at local round {}",
-        dedicated.schedule().phases(),
-        dedicated.schedule().done_local()
+        compiled.schedule().phases(),
+        compiled.schedule().done_local()
     );
     println!(
         "classifier predicts leader: v{}",
-        dedicated.predicted_leader()
+        compiled.predicted_leader()
     );
 
-    // 3. …and run it in the radio-model simulator.
-    let report = dedicated
-        .run()
+    // 3. …and run it in the radio-model simulator, under the paper's
+    //    channel model. The workspace can be reused across runs.
+    let report = compiled
+        .run_in(
+            &mut SimWorkspace::new(),
+            &config,
+            ModelKind::default(),
+            RunOpts::default(),
+        )
         .expect("dedicated algorithms elect exactly one leader");
     println!(
         "elected leader: v{} (n = {}, σ = {}, {} transmissions, all nodes done by global round {})",

@@ -37,16 +37,16 @@ fn main() {
             println!("cannot recover a token owner: {infeasible}");
             println!("(the reboot pattern left the ring symmetric — wait for another reboot)");
         }
-        Ok(dedicated) => {
+        Ok(compiled) => {
             println!(
                 "recovery is possible; dedicated protocol has {} phase(s), \
                  every station done after {} local rounds",
-                dedicated.schedule().phases(),
-                dedicated.schedule().done_local(),
+                compiled.schedule().phases(),
+                compiled.schedule().done_local(),
             );
 
             // Narrate the radio traffic of the recovery.
-            let factory = dedicated.factory();
+            let factory = compiled.factory();
             let execution = Executor::run(&config, &factory, RunOpts::default().traced())
                 .expect("canonical DRIP terminates");
             let trace = execution.trace.as_ref().expect("tracing enabled");
@@ -58,8 +58,13 @@ fn main() {
                 println!("  … {} more", trace.events.len() - 12);
             }
 
-            let report = dedicated
-                .run()
+            let report = compiled
+                .run_in(
+                    &mut SimWorkspace::new(),
+                    &config,
+                    ModelKind::default(),
+                    RunOpts::default(),
+                )
                 .expect("feasible rings elect exactly one owner");
             println!();
             println!(

@@ -137,7 +137,7 @@ fn summaries_through_one_workspace_match_fresh_summaries() {
 }
 
 #[test]
-fn solve_in_through_one_workspace_matches_fresh_elections() {
+fn compile_in_through_one_workspace_matches_fresh_elections() {
     // End to end: the dedicated algorithm compiled through a reused
     // classifier workspace elects the same leader with the same report as
     // the fresh path, across a mix of feasible configurations.
@@ -151,10 +151,10 @@ fn solve_in_through_one_workspace_matches_fresh_elections() {
         configs.push(tags::distinct_shuffled(g, &mut rng));
     }
     for config in configs {
-        let reused = anon_radio::DedicatedElection::solve_in(&mut cls, &config)
-            .expect("feasible")
+        let reused = anon_radio::CompiledElection::compile_in(&mut cls, &config)
             .run_in(
                 &mut sim,
+                &config,
                 radio_sim::ModelKind::default(),
                 radio_sim::RunOpts::default(),
             )

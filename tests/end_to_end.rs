@@ -1,8 +1,9 @@
 //! End-to-end integration: classify → compile → simulate → validate, across
 //! a labelled corpus of configurations spanning every generator family.
 
-use anon_radio::{elect_leader, is_feasible, solve};
+use anon_radio::{elect_leader, is_feasible, solve, CompiledElection, ElectionReport};
 use radio_graph::{families, generators, tags, Configuration};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::rng::rng_from;
 
 /// A corpus of configurations with known feasibility.
@@ -114,14 +115,25 @@ fn infeasible_corpus_has_no_singleton_history() {
     }
 }
 
+fn run(compiled: &CompiledElection, config: &Configuration) -> ElectionReport {
+    compiled
+        .run_in(
+            &mut SimWorkspace::new(),
+            config,
+            ModelKind::default(),
+            RunOpts::default(),
+        )
+        .unwrap()
+}
+
 #[test]
 fn solve_and_elect_agree() {
     for (config, expected, name) in corpus() {
         match solve(&config) {
-            Ok(dedicated) => {
+            Ok(compiled) => {
                 assert!(expected, "{name}: solve succeeded on infeasible config");
-                let report = dedicated.run().unwrap();
-                assert_eq!(report.leader, dedicated.predicted_leader(), "{name}");
+                let report = run(&compiled, &config);
+                assert_eq!(report.leader, compiled.predicted_leader(), "{name}");
             }
             Err(_) => assert!(!expected, "{name}: solve failed on feasible config"),
         }
@@ -135,11 +147,11 @@ fn election_transmission_budget_is_exactly_n_times_phases() {
         if !expected {
             continue;
         }
-        let dedicated = solve(&config).unwrap();
-        let report = dedicated.run().unwrap();
+        let compiled = solve(&config).unwrap();
+        let report = run(&compiled, &config);
         assert_eq!(
             report.transmissions,
-            (config.size() * dedicated.schedule().phases()) as u64,
+            (config.size() * compiled.schedule().phases()) as u64,
             "{name}"
         );
     }

@@ -4,7 +4,9 @@
 
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::{run_election, History, LeaderAlgorithm, Msg, Obs, PatientFactory, RunOpts};
+use radio_sim::{
+    run_election, History, LeaderAlgorithm, ModelKind, Msg, Obs, PatientFactory, RunOpts,
+};
 
 /// The paper's `f_pat`: recover `s_w = min(σ, rcv_w)` from the history and
 /// apply `f` to the suffix (with the boundary-collision sanitation
@@ -66,7 +68,7 @@ fn plain_algorithm_wins_on_the_test_configs() {
             drip: &factory,
             decide: &decide,
         };
-        let out = run_election(&config, &algo, RunOpts::default()).unwrap();
+        let out = run_election(ModelKind::default(), &config, &algo, RunOpts::default()).unwrap();
         assert_eq!(out.elected(), Some(0), "{config}");
     }
 }
@@ -82,7 +84,7 @@ fn patient_wrapping_preserves_the_winner() {
             drip: &patient,
             decide: &pat_decide,
         };
-        let out = run_election(&config, &algo, RunOpts::default()).unwrap();
+        let out = run_election(ModelKind::default(), &config, &algo, RunOpts::default()).unwrap();
         assert_eq!(out.elected(), Some(0), "{config} (patient)");
     }
 }
@@ -98,7 +100,7 @@ fn patient_wrapping_preserves_failure_too() {
         drip: &factory,
         decide: &decide,
     };
-    let plain = run_election(&config, &algo, RunOpts::default()).unwrap();
+    let plain = run_election(ModelKind::default(), &config, &algo, RunOpts::default()).unwrap();
 
     let sigma = config.span();
     let (factory, decide) = inner_algorithm(1);
@@ -108,7 +110,7 @@ fn patient_wrapping_preserves_failure_too() {
         drip: &patient,
         decide: &pat_decide,
     };
-    let wrapped = run_election(&config, &algo, RunOpts::default()).unwrap();
+    let wrapped = run_election(ModelKind::default(), &config, &algo, RunOpts::default()).unwrap();
 
     assert_eq!(plain.leaders.len(), wrapped.leaders.len());
     assert_ne!(plain.leaders.len(), 1);

@@ -56,6 +56,7 @@ fn elect_replies_are_bit_identical_to_the_one_shot_path() {
         .expect("feasible")
         .run_in(
             &mut radio_sim::SimWorkspace::new(),
+            &drawn_path_config(),
             ModelKind::default(),
             RunOpts::default(),
         )
@@ -117,7 +118,7 @@ fn campaign_cell_rows_are_bit_identical_to_a_fresh_campaign() {
             seed: 17,
             opts: RunOpts::default(),
             cache: CacheConfig::default(),
-            batch: anon_radio::campaign::BatchConfig::disabled(),
+            batch: anon_radio::campaign::BatchConfig::default(),
         };
         let mut runner = CampaignRunner::new(spec, 1);
         while runner.run_next_shard(1).is_some() {}
