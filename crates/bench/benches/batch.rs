@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::WaitThenTransmitFactory;
 use radio_sim::parallel::{default_threads, par_map_init};
-use radio_sim::{Executor, Msg, RunOpts, SimWorkspace};
+use radio_sim::{ModelKind, Msg, RunOpts, SimWorkspace};
 
 /// 10k small flood configurations with varied shapes and tag spreads —
 /// enough runs that per-run allocation dominates the measured
@@ -46,7 +46,9 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("workspace_reuse_chunked_10k", |b| {
         b.iter(|| {
             let out = par_map_init(&configs, threads, SimWorkspace::new, |ws, config| {
-                ws.run(config, &factory, RunOpts::default()).unwrap().rounds
+                ws.run_kind(ModelKind::default(), config, &factory, RunOpts::default())
+                    .unwrap()
+                    .rounds
             });
             out.iter().sum::<u64>()
         })
@@ -59,7 +61,8 @@ fn bench_batch(c: &mut Criterion) {
             configs
                 .iter()
                 .map(|config| {
-                    Executor::run(config, &factory, RunOpts::default())
+                    ModelKind::default()
+                        .run(config, &factory, RunOpts::default())
                         .unwrap()
                         .rounds
                 })
@@ -71,7 +74,11 @@ fn bench_batch(c: &mut Criterion) {
         b.iter(|| {
             configs
                 .iter()
-                .map(|config| ws.run(config, &factory, RunOpts::default()).unwrap().rounds)
+                .map(|config| {
+                    ws.run_kind(ModelKind::default(), config, &factory, RunOpts::default())
+                        .unwrap()
+                        .rounds
+                })
                 .sum::<u64>()
         })
     });

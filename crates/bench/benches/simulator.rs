@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::{SilentFactory, WaitThenTransmitFactory};
-use radio_sim::{Executor, ModelKind, Msg, RunOpts};
+use radio_sim::{ModelKind, Msg, RunOpts};
 
 fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
@@ -19,25 +19,27 @@ fn bench_simulator(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rounds));
         group.bench_with_input(BenchmarkId::new("silent_path", n), &config, |b, config| {
             b.iter(|| {
-                Executor::run(config, &SilentFactory { lifetime: 20 }, RunOpts::default())
+                ModelKind::default()
+                    .run(config, &SilentFactory { lifetime: 20 }, RunOpts::default())
                     .unwrap()
                     .rounds
             })
         });
         group.bench_with_input(BenchmarkId::new("flood_path", n), &config, |b, config| {
             b.iter(|| {
-                Executor::run(
-                    config,
-                    &WaitThenTransmitFactory {
-                        wait: 0,
-                        msg: Msg::ONE,
-                        lifetime: 20,
-                    },
-                    RunOpts::default(),
-                )
-                .unwrap()
-                .stats
-                .transmissions
+                ModelKind::default()
+                    .run(
+                        config,
+                        &WaitThenTransmitFactory {
+                            wait: 0,
+                            msg: Msg::ONE,
+                            lifetime: 20,
+                        },
+                        RunOpts::default(),
+                    )
+                    .unwrap()
+                    .stats
+                    .transmissions
             })
         });
     }
@@ -47,7 +49,8 @@ fn bench_simulator(c: &mut Criterion) {
     let factory = anon_radio::solve(&config).unwrap().factory();
     group.bench_function("canonical_G6", |b| {
         b.iter(|| {
-            Executor::run(&config, &factory, RunOpts::default())
+            ModelKind::default()
+                .run(&config, &factory, RunOpts::default())
                 .unwrap()
                 .rounds
         })

@@ -48,7 +48,7 @@ fn main() {
                     "usage: experiments [--quick] [--seed N] [--out DIR] [e1 e2 … e10]\n\
                      runs the paper-claim experiments (all by default) and prints\n\
                      Markdown tables; --out also writes <id>_<k>.md/.csv files\n\
-                     --bench-json PATH  instead measure the fused batch engine against\n\
+                     --bench-json PATH  instead measure batched elect campaigns against\n\
                      one-run batches (--batch-size 1) and the million-node scale\n\
                      path (CSR-direct + streaming elect at 10⁵/10⁶ nodes), appending\n\
                      one JSON trajectory row per measurement to PATH"
@@ -96,11 +96,12 @@ fn main() {
     }
 }
 
-/// `--bench-json`: time the 10k-rep small-graph elect campaign through
-/// the fused batch engine at the default size and at size 1 (one run
-/// per batch, `--batch-size 1`), best of three passes each after a warm-up,
-/// and append one machine-readable trajectory row — so future changes can
-/// see the engine's perf curve without re-deriving the workload.
+/// `--bench-json`: time the 10k-rep small-graph elect campaign at the
+/// default batch size and at size 1 (one run per batch,
+/// `--batch-size 1`), best of three passes each after a warm-up, and
+/// append one machine-readable trajectory row (named `batch_engine`) —
+/// so future changes can see the batch path's perf curve without
+/// re-deriving the workload.
 fn bench_batch(path: &std::path::Path, seed: u64) {
     use radio_bench::campaign::{
         BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
@@ -154,7 +155,7 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
         .expect("open --bench-json path");
     file.write_all(row.as_bytes()).expect("append bench row");
     eprintln!(
-        "batch engine: sequential {:.0} ns/run, batched {:.0} ns/run — {:.2}× \
+        "batched campaign: sequential {:.0} ns/run, batched {:.0} ns/run — {:.2}× \
          ({} runs, {} threads; row appended to {})",
         sequential,
         batched,

@@ -34,7 +34,9 @@ fn timed(
     opts: RunOpts,
 ) -> (Execution, f64) {
     let start = Instant::now();
-    let ex = radio_sim::Executor::run(config, factory, opts).unwrap();
+    let ex = radio_sim::ModelKind::default()
+        .run(config, factory, opts)
+        .unwrap();
     (ex, start.elapsed().as_secs_f64())
 }
 
@@ -266,7 +268,9 @@ mod tests {
             msg: radio_sim::Msg::ONE,
             lifetime: 16,
         };
-        let ex = radio_sim::Executor::run(&config, &factory, RunOpts::default()).unwrap();
+        let ex = radio_sim::ModelKind::default()
+            .run(&config, &factory, RunOpts::default())
+            .unwrap();
         assert!(ex.rounds > span, "the centre wakes only at {span}");
         assert_eq!(ex.stats.transmissions, 25, "two per burst, one centre");
         assert!(
@@ -291,7 +295,9 @@ mod tests {
             },
             config.span(),
         );
-        let ex = radio_sim::Executor::run(&config, &factory, RunOpts::default()).unwrap();
+        let ex = radio_sim::ModelKind::default()
+            .run(&config, &factory, RunOpts::default())
+            .unwrap();
         assert!(ex.rounds > config.span(), "whole σ window is simulated");
         assert!(
             ex.rounds_stepped * 100 < ex.rounds,

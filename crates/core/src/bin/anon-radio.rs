@@ -942,7 +942,8 @@ fn usage() -> i32 {
          \u{20}                       memoizes classify+compile across repeated shapes by\n\
          \u{20}                       default; rows are bit-identical either way)\n\
          \u{20}      --cache-capacity N  bound the cache at ~N entries (default 4096)\n\
-         \u{20}      --batch-size B   elect-phase runs per fused engine pass (default 16;\n\
+         \u{20}      --batch-size B   elect-phase runs per batch; a batch compiles and\n\
+         \u{20}                       simulates each distinct draw once (default 16;\n\
          \u{20}                       1 runs one election at a time; rows are bit-identical\n\
          \u{20}                       for every size up to the measured tail from\n\
          \u{20}                       \"wall_ns\" on)\n\

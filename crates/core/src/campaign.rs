@@ -31,7 +31,7 @@
 //!   — the `anon-radio campaign` subcommand's output format.
 //!
 //! The elect-phase workload is the full election pipeline (classify →
-//! compile → simulate → validate), run in fused batches through
+//! compile → simulate → validate), run in batches through
 //! [`election_metrics_batched`]; the classify phase runs
 //! [`classify_metrics`] per run.
 
@@ -41,7 +41,7 @@ use std::time::Instant;
 use radio_classifier::ClassifierWorkspace;
 use radio_graph::Configuration;
 use radio_sim::parallel::par_map_init;
-use radio_sim::{BatchRun, BatchWorkspace, ModelKind, RunOpts, SimWorkspace};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::fxhash::FxHashMap;
 use radio_util::rng::{derive, derive_index, rng_from};
 use radio_util::stats::StreamingStats;
@@ -50,7 +50,6 @@ pub use radio_graph::family::{FamilyError, FamilySpec};
 pub use radio_graph::tags::TagStrategy;
 
 use crate::cache::{config_fingerprint, CacheConfig, CacheLookup, CacheStats, ScheduleCache};
-use crate::canonical::CanonicalFactory;
 use crate::dedicated::CompiledElection;
 
 /// Which pipeline stage a campaign sweeps.
@@ -106,17 +105,13 @@ impl std::fmt::Display for Phase {
 /// The per-worker state of a campaign or serve worker: engine and
 /// classifier workspaces, long-lived for the worker's whole share of a
 /// shard (or its whole life in serve). Elect-phase campaign runs use the
-/// classifier (classification feeds compilation) and the fused batch
-/// engine; serve's one-shot elect jobs simulate through `sim`; the
-/// classify phase touches only the classifier side.
+/// classifier (classification feeds compilation) and `sim`, as do
+/// serve's one-shot elect jobs; the classify phase touches only the
+/// classifier side.
 #[derive(Debug, Default)]
 pub struct CampaignWorkspace {
-    /// Recycled engine state for one-shot simulations.
+    /// Recycled engine state: every simulation the worker runs.
     pub sim: SimWorkspace,
-    /// Recycled fused-batch engine state — the elect-phase path
-    /// ([`election_metrics_batched`]) runs each batch of member runs
-    /// through one engine pass.
-    pub batch: BatchWorkspace,
     /// Recycled classifier state (label interner, refine buffers,
     /// worklist).
     pub classifier: ClassifierWorkspace,
@@ -164,14 +159,15 @@ impl CampaignWorkspace {
 
 /// Batched-execution policy for elect campaigns (`--batch-size`): runs
 /// are grouped into contiguous batches (never crossing a cell boundary —
-/// pure position arithmetic, invariant under threads and shard geometry)
-/// and each batch executes as one fused [`BatchWorkspace`] pass. Size 1
-/// runs one election at a time. Rows are bit-identical for every size up
+/// pure position arithmetic, invariant under threads and shard geometry);
+/// each batch compiles once per distinct draw and simulates once per
+/// distinct feasible draw ([`election_metrics_batched`]). Size 1 runs one
+/// election at a time. Rows are bit-identical for every size up
 /// to the measured tail (`wall_ns` onward). Ignored by the classify
 /// phase, which runs no simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Maximum member runs per fused batch (`--batch-size N`, ≥ 1).
+    /// Maximum member runs per batch (`--batch-size N`, ≥ 1).
     pub size: usize,
 }
 
@@ -182,8 +178,8 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Default batch size: large enough that engine dispatch and the
-    /// per-batch compile dedupe amortize over many members, small enough
+    /// Default batch size: large enough that the per-batch compile dedupe
+    /// and execution sharing amortize over many members, small enough
     /// that dynamic work-stealing still balances skewed cells.
     pub const DEFAULT_SIZE: usize = 16;
 
@@ -627,12 +623,13 @@ impl CellAggregate {
 
 /// The elect-phase workload for one *batch* of drawn configurations: the
 /// full election pipeline per member under `model` and `opts` —
-/// compile once per distinct configuration fingerprint, execute every
-/// feasible member through the workspace's fused [`BatchWorkspace`],
-/// validate the exactly-one-leader contract against the classifier's
-/// prediction, and fold metrics straight off the engine's borrowed
-/// [`MemberView`](radio_sim::MemberView)s — no per-run
-/// [`Execution`](radio_sim::Execution) is ever materialized.
+/// compile once per distinct configuration fingerprint, simulate one
+/// representative per distinct feasible fingerprint through the worker's
+/// [`SimWorkspace`], validate the exactly-one-leader contract against
+/// the classifier's prediction, and fold its metrics straight off the
+/// workspace arena before the next run resets it — no per-run
+/// [`Execution`](radio_sim::Execution) is ever materialized. Duplicate
+/// draws copy their representative's shape.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
@@ -641,8 +638,8 @@ impl CellAggregate {
 ///
 /// Every column up to the measured tail is independent of how runs are
 /// grouped into batches. The tail is not: `wall_ns` is the batch's
-/// elapsed time attributed evenly across its members (per-member timing
-/// inside a fused pass is not separable), and the cache counters account
+/// elapsed time attributed evenly across its members (a duplicate's run
+/// is its representative's), and the cache counters account
 /// the *batch-local* compile dedupe — the first member of each distinct
 /// fingerprint records the real cache lookup, and members sharing its
 /// compile record a hit (with a cache attached; with `--no-cache` they
@@ -687,53 +684,46 @@ pub fn election_metrics_batched(
         }
     }
 
-    let factories: Vec<Option<CanonicalFactory>> = uniq
-        .iter()
-        .map(|c| c.feasible().then(|| c.factory()))
-        .collect();
     // Within-batch execution sharing: equal fingerprints mean equal
     // configurations (the cache's `Key::Exact` identity), and equal
     // configurations under the same opts produce bit-identical
     // executions — so the engine simulates one representative per
     // distinct feasible config and duplicates copy its shape verbatim.
-    let mut runs: Vec<BatchRun<'_>> = Vec::with_capacity(count);
-    let mut run_members: Vec<usize> = Vec::with_capacity(count);
+    // The decision reads stored histories, so the run keeps them.
+    let opts = RunOpts {
+        len_only_histories: false,
+        ..opts
+    };
     let mut rep_of: Vec<Option<usize>> = vec![None; uniq.len()];
     for k in 0..count {
-        if let Some(factory) = &factories[which[k]] {
-            metrics[k].feasible = true;
-            if rep_of[which[k]].is_none() {
-                rep_of[which[k]] = Some(k);
-                runs.push(BatchRun {
-                    config: &configs[k],
-                    factory,
-                });
-                run_members.push(k);
-            }
+        let compiled = &uniq[which[k]];
+        if !compiled.feasible() {
+            continue;
         }
-    }
-    if !runs.is_empty() {
-        let batch = &mut workspace.batch;
-        batch.run_kind_with(model, &runs, opts, |i, outcome| {
-            let k = run_members[i];
-            let m = &mut metrics[k];
-            match outcome {
-                Ok(view) => {
-                    let compiled = &uniq[which[k]];
-                    let decision = compiled.decision();
-                    let mut leaders = (0..configs[k].size() as radio_graph::NodeId)
-                        .filter(|&v| decision.is_leader_view(view.history(v)));
-                    m.elected = leaders.next() == Some(compiled.predicted_leader())
-                        && leaders.next().is_none();
-                    m.simulated = true;
-                    m.rounds = view.rounds();
-                    m.transmissions = view.stats().transmissions;
-                    m.rounds_stepped = view.rounds_stepped();
-                    m.rounds_leapt = view.rounds_leapt();
-                }
-                Err(_) => m.aborted = true,
+        metrics[k].feasible = true;
+        if rep_of[which[k]].is_some() {
+            continue;
+        }
+        rep_of[which[k]] = Some(k);
+        // Fold right after the run: the next run resets the arena the
+        // decision reads.
+        let sim = &mut workspace.sim;
+        let m = &mut metrics[k];
+        match sim.run_kind_resident(model, &configs[k], &compiled.factory(), opts) {
+            Ok(run) => {
+                let decision = compiled.decision();
+                let mut leaders = (0..configs[k].size() as radio_graph::NodeId)
+                    .filter(|&v| decision.is_leader_view(sim.history_view(v)));
+                m.elected =
+                    leaders.next() == Some(compiled.predicted_leader()) && leaders.next().is_none();
+                m.simulated = true;
+                m.rounds = run.rounds;
+                m.transmissions = run.stats.transmissions;
+                m.rounds_stepped = run.rounds_stepped;
+                m.rounds_leapt = run.rounds_leapt;
             }
-        });
+            Err(_) => m.aborted = true,
+        }
     }
     // Fan the representative's simulated shape back out to its
     // duplicates (their cache accounting, set above, is their own).
@@ -755,7 +745,7 @@ pub fn election_metrics_batched(
         }
     }
     let each = start.elapsed().as_nanos() as u64 / count.max(1) as u64;
-    let mem_hw = workspace.batch.mem_bytes() + workspace.classifier.mem_bytes();
+    let mem_hw = workspace.sim.mem_bytes() + workspace.classifier.mem_bytes();
     for m in &mut metrics {
         m.wall_ns = each;
         m.mem_hw = mem_hw;
@@ -1418,6 +1408,56 @@ mod tests {
         agg.fold(&ok);
         assert_eq!(agg.rounds.count(), 1);
         assert!(agg.rounds.min().unwrap() > 2.0);
+
+        // Members that abort on the round limit alternate with members
+        // that complete, through one workspace at batch sizes {1, 3, 16}:
+        // an aborted run must not poison the next member's run, so the
+        // row equals a fresh-workspace-per-member fold up to the measured
+        // tail. (The cell key only labels the row.)
+        let model = ModelKind::NoCollisionDetection;
+        let limit = [1u64, 2, 3]
+            .iter()
+            .map(|&m| {
+                let config = radio_graph::families::h_m(m);
+                election_metrics_batched(&mut ws, &[config], model, RunOpts::default())[0].rounds
+            })
+            .max()
+            .unwrap();
+        let opts = RunOpts::with_max_rounds(limit);
+        let members: Vec<Configuration> = [9u64, 1, 8, 2, 7, 3]
+            .iter()
+            .map(|&m| radio_graph::families::h_m(m))
+            .collect();
+        let cell = CellKey {
+            family: FamilySpec::Path,
+            tags: TagStrategy::Uniform,
+            n: 4,
+            span: 0,
+            model,
+        };
+        let row = |agg: &CellAggregate| {
+            assert_eq!((agg.feasible, agg.aborted, agg.rounds.count()), (6, 3, 3));
+            let row = cell_row(Phase::Elect, &cell, agg).to_jsonl();
+            row.split(",\"wall_ns\"").next().unwrap().to_string()
+        };
+        let mut fresh = CellAggregate::default();
+        for config in &members {
+            let mut ws = CampaignWorkspace::new();
+            fresh.fold(
+                &election_metrics_batched(&mut ws, std::slice::from_ref(config), model, opts)[0],
+            );
+        }
+        let want = row(&fresh);
+        for size in [1, 3, 16] {
+            let mut ws = CampaignWorkspace::new();
+            let mut agg = CellAggregate::default();
+            for chunk in members.chunks(size) {
+                for m in election_metrics_batched(&mut ws, chunk, model, opts) {
+                    agg.fold(&m);
+                }
+            }
+            assert_eq!(row(&agg), want, "batch size {size}");
+        }
     }
 
     #[test]

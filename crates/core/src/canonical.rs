@@ -215,13 +215,15 @@ mod tests {
     use super::*;
     use crate::schedule::CanonicalSchedule;
     use radio_graph::{families, generators, Configuration};
-    use radio_sim::{Executor, RunOpts};
+    use radio_sim::{ModelKind, RunOpts};
     use std::sync::Arc;
 
     fn run_canonical(config: &Configuration) -> radio_sim::Execution {
         let (_, schedule) = CanonicalSchedule::build(config);
         let factory = CanonicalFactory::new(Arc::new(schedule));
-        Executor::run(config, &factory, RunOpts::default().traced()).unwrap()
+        ModelKind::default()
+            .run(config, &factory, RunOpts::default().traced())
+            .unwrap()
     }
 
     #[test]
@@ -333,7 +335,9 @@ mod tests {
         let done = schedule.done_local();
         let factory = CanonicalFactory::new(Arc::new(schedule));
         let s2 = families::s_m(2);
-        let ex = Executor::run(&s2, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(&s2, &factory, RunOpts::default())
+            .unwrap();
         for v in 0..4u32 {
             assert_eq!(ex.done_local(v), done);
         }
@@ -347,8 +351,12 @@ mod tests {
         let c = families::h_m(1 << 12);
         let (_, schedule) = CanonicalSchedule::build(&c);
         let factory = CanonicalFactory::new(Arc::new(schedule));
-        let leap = Executor::run(&c, &factory, RunOpts::default()).unwrap();
-        let step = Executor::run(&c, &factory, RunOpts::default().no_leap()).unwrap();
+        let leap = ModelKind::default()
+            .run(&c, &factory, RunOpts::default())
+            .unwrap();
+        let step = ModelKind::default()
+            .run(&c, &factory, RunOpts::default().no_leap())
+            .unwrap();
         assert_eq!(leap.histories, step.histories);
         assert_eq!(leap.done_round, step.done_round);
         assert_eq!(leap.wake_round, step.wake_round);

@@ -34,7 +34,7 @@ impl LeaderDecision {
     }
 
     /// [`LeaderDecision::final_class`] over a borrowed history view — the
-    /// batch engine's metric path classifies straight out of the shared
+    /// campaign's metric path classifies straight out of the workspace's
     /// observation arena without materializing owned histories.
     pub fn final_class_view(&self, history: HistoryView<'_>) -> Option<u32> {
         let s = &self.schedule;
@@ -75,7 +75,7 @@ mod tests {
     use crate::canonical::CanonicalFactory;
     use crate::schedule::CanonicalSchedule;
     use radio_graph::families;
-    use radio_sim::{Executor, RunOpts};
+    use radio_sim::{ModelKind, RunOpts};
     use std::sync::Arc;
 
     fn setup(
@@ -84,7 +84,9 @@ mod tests {
         let (out, schedule) = CanonicalSchedule::build(c);
         let shared = Arc::new(schedule);
         let factory = CanonicalFactory::new(shared.clone());
-        let ex = Executor::run(c, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(c, &factory, RunOpts::default())
+            .unwrap();
         let leader_class = out.leader_class();
         (ex, LeaderDecision::new(shared), leader_class)
     }
@@ -106,7 +108,9 @@ mod tests {
         let (out, schedule) = CanonicalSchedule::build(&c);
         let shared = Arc::new(schedule);
         let factory = CanonicalFactory::new(shared.clone());
-        let ex = Executor::run(&c, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(&c, &factory, RunOpts::default())
+            .unwrap();
         let f = LeaderDecision::new(shared);
         let p = out.final_partition();
         for v in 0..c.size() as u32 {
@@ -130,7 +134,9 @@ mod tests {
         let f_streamed = LeaderDecision::new(Arc::new(streamed));
         let f_eager = LeaderDecision::new(Arc::new(eager));
         let factory = CanonicalFactory::new(Arc::new(CanonicalSchedule::build(&c).1));
-        let ex = Executor::run(&c, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(&c, &factory, RunOpts::default())
+            .unwrap();
         for v in 0..c.size() as u32 {
             assert_eq!(
                 f_streamed.final_class(ex.history(v)),

@@ -14,7 +14,7 @@
 //!
 //! [`refute_distributed_decision`] produces this evidence for any DRIP.
 
-use radio_sim::{DripFactory, Executor, History, RunOpts};
+use radio_sim::{DripFactory, History, ModelKind, RunOpts};
 
 use crate::universal::silence_breaking_round;
 use radio_graph::families;
@@ -74,10 +74,12 @@ pub fn refute_distributed_decision(
     let s = families::s_m(m);
 
     let opts = RunOpts::with_max_rounds(8 * (probe_limit + m) + 64);
-    let ex_h =
-        Executor::run(&h, factory, opts).map_err(|e| RefuteError::Simulation(e.to_string()))?;
-    let ex_s =
-        Executor::run(&s, factory, opts).map_err(|e| RefuteError::Simulation(e.to_string()))?;
+    let ex_h = ModelKind::default()
+        .run(&h, factory, opts)
+        .map_err(|e| RefuteError::Simulation(e.to_string()))?;
+    let ex_s = ModelKind::default()
+        .run(&s, factory, opts)
+        .map_err(|e| RefuteError::Simulation(e.to_string()))?;
 
     let histories_identical =
         core::array::from_fn(|v| ex_h.history(v as u32) == ex_s.history(v as u32));

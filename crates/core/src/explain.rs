@@ -20,7 +20,7 @@ use radio_classifier::{
     ClassifierWorkspace, Engine, FinalOnly, IterationView, ListsSink, RecordSink,
 };
 use radio_graph::{Configuration, NodeId};
-use radio_sim::{Executor, RunOpts};
+use radio_sim::{ModelKind, RunOpts};
 
 use crate::schedule::CanonicalSchedule;
 
@@ -156,8 +156,9 @@ pub fn explain_infeasibility(config: &Configuration) -> Result<InfeasibilityRepo
 
     // Verify witness histories by actually running the canonical DRIP.
     let factory = crate::canonical::CanonicalFactory::new(std::sync::Arc::new(schedule));
-    let execution =
-        Executor::run(config, &factory, RunOpts::default()).expect("canonical DRIP terminates");
+    let execution = ModelKind::default()
+        .run(config, &factory, RunOpts::default())
+        .expect("canonical DRIP terminates");
 
     let mut twins = Vec::new();
     for class in 1..=partition.num_classes() {

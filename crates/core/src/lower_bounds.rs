@@ -10,7 +10,7 @@
 //! tables of E4/E5.
 
 use radio_graph::{Configuration, NodeId};
-use radio_sim::{Execution, Executor, RunOpts};
+use radio_sim::{Execution, ModelKind, RunOpts};
 
 /// First *global* round at which the histories of `v` and `w` diverge, or
 /// `None` if they remain equal to the end of the execution. Histories are
@@ -45,8 +45,9 @@ pub fn canonical_divergences(
 ) -> (Execution, Vec<Option<u64>>) {
     let (_, schedule) = crate::schedule::CanonicalSchedule::build(config);
     let factory = crate::canonical::CanonicalFactory::new(std::sync::Arc::new(schedule));
-    let execution =
-        Executor::run(config, &factory, RunOpts::default()).expect("canonical DRIP terminates");
+    let execution = ModelKind::default()
+        .run(config, &factory, RunOpts::default())
+        .expect("canonical DRIP terminates");
     let divs = pairs
         .iter()
         .map(|&(v, w)| divergence_round(&execution, v, w))

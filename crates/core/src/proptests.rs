@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use radio_graph::{generators, Configuration};
-use radio_sim::{Executor, RunOpts};
+use radio_sim::{ModelKind, RunOpts};
 
 use crate::canonical::CanonicalFactory;
 use crate::decision::LeaderDecision;
@@ -51,7 +51,7 @@ proptest! {
         let (outcome, schedule) = CanonicalSchedule::build(&config);
         let shared = std::sync::Arc::new(schedule);
         let factory = CanonicalFactory::new(shared.clone());
-        let ex = Executor::run(&config, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config, &factory, RunOpts::default()).unwrap();
         let decision = LeaderDecision::new(shared);
         let partition = outcome.final_partition();
         for v in 0..config.size() as u32 {
@@ -76,7 +76,7 @@ proptest! {
         let done = schedule.done_local();
         let shared = std::sync::Arc::new(schedule);
         let factory = CanonicalFactory::new(shared.clone());
-        let ex = Executor::run(&config_b, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config_b, &factory, RunOpts::default()).unwrap();
         let decision = LeaderDecision::new(shared);
         for v in 0..config_b.size() as u32 {
             prop_assert_eq!(ex.done_local(v), done);
@@ -90,7 +90,7 @@ proptest! {
         // configuration (Lemma 3.7 consequence).
         let (outcome, schedule) = CanonicalSchedule::build(&config);
         let factory = CanonicalFactory::new(std::sync::Arc::new(schedule));
-        let ex = Executor::run(&config, &factory, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config, &factory, RunOpts::default()).unwrap();
         prop_assert_eq!(
             ex.stats.transmissions,
             (config.size() * outcome.iterations) as u64

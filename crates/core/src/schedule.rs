@@ -609,7 +609,7 @@ mod tests {
         // eager sequence comparison — for every node, every phase, and
         // the final would-be list, on feasible and infeasible configs.
         use crate::canonical::CanonicalFactory;
-        use radio_sim::{Executor, RunOpts};
+        use radio_sim::{ModelKind, RunOpts};
         use radio_util::rng::rng_from;
         use std::sync::Arc;
         let mut rng = rng_from(23);
@@ -627,7 +627,9 @@ mod tests {
             let (_, s) = CanonicalSchedule::build(&config);
             let shared = Arc::new(s);
             let factory = CanonicalFactory::new(shared.clone());
-            let ex = Executor::run(&config, &factory, RunOpts::default()).unwrap();
+            let ex = ModelKind::default()
+                .run(&config, &factory, RunOpts::default())
+                .unwrap();
             let s = &*shared;
             for v in 0..config.size() as u32 {
                 let h = ex.history(v).view();

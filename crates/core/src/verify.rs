@@ -145,9 +145,9 @@ pub fn check_history_partition(
 pub fn verify_canonical_execution(config: &Configuration) -> Result<Outcome, String> {
     let (outcome, schedule) = CanonicalSchedule::build(config);
     let factory = crate::canonical::CanonicalFactory::new(std::sync::Arc::new(schedule.clone()));
-    let execution =
-        radio_sim::Executor::run(config, &factory, radio_sim::RunOpts::default().traced())
-            .map_err(|e| e.to_string())?;
+    let execution = radio_sim::ModelKind::default()
+        .run(config, &factory, radio_sim::RunOpts::default().traced())
+        .map_err(|e| e.to_string())?;
     check_patient(config, &execution)?;
     check_block_structure(config, &outcome, &schedule, &execution)?;
     check_history_partition(config, &outcome, &schedule, &execution)?;
@@ -188,7 +188,9 @@ mod tests {
         let (outcome, schedule) = CanonicalSchedule::build(&c);
         let factory =
             crate::canonical::CanonicalFactory::new(std::sync::Arc::new(schedule.clone()));
-        let ex = radio_sim::Executor::run(&c, &factory, radio_sim::RunOpts::default()).unwrap();
+        let ex = radio_sim::ModelKind::default()
+            .run(&c, &factory, radio_sim::RunOpts::default())
+            .unwrap();
         assert!(check_patient(&c, &ex).is_err());
         assert!(check_block_structure(&c, &outcome, &schedule, &ex).is_err());
     }

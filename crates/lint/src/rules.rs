@@ -145,8 +145,8 @@ impl Rule {
 }
 
 /// True for files whose nondeterminism can reach result rows or ≡ gates.
-/// `crates/sim/` includes the fused batch engine (`batch.rs`), whose
-/// batched ≡ sequential contract is exactly what hash-order member
+/// `crates/core/` includes the campaign's batch path (`campaign.rs`),
+/// whose batched ≡ sequential contract is exactly what hash-order member
 /// sweeps would break — pinned by the `batch_member_order_fire` fixture.
 fn in_result_scope(path: &str) -> bool {
     in_crate(path, "graph")

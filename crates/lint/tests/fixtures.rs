@@ -53,12 +53,12 @@ const FIRE: &[(&str, &str, &[&str])] = &[
         "crates/sim/src/lib.rs",
         &["unsafe-guard"],
     ),
-    // The fused batch engine is result-affecting code: member sweeps on
-    // hash order and worker identity steering the merged event queue are
+    // The campaign's batch path is result-affecting code: member sweeps
+    // on hash order and worker identity picking the next member are
     // exactly the bugs that would silently break batched ≡ sequential.
     (
         "batch_member_order_fire.rs",
-        "crates/sim/src/batch.rs",
+        "crates/core/src/campaign.rs",
         &["nondet-iter", "thread-identity"],
     ),
 ];

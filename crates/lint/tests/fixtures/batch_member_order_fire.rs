@@ -1,9 +1,9 @@
-//! FIXTURE (never compiled): the batch-engine failure modes the
+//! FIXTURE (never compiled): the batch-path failure modes the
 //! determinism contract forbids. Linted under the logical path
-//! `crates/sim/src/batch.rs` — the fused engine is result-affecting
-//! code, so member bookkeeping must never ride on hash-map iteration
-//! order (batch results are positional) and the fused scheduler must
-//! never let worker identity pick which member steps next.
+//! `crates/core/src/campaign.rs` — the campaign's batches are
+//! result-affecting code, so member bookkeeping must never ride on
+//! hash-map iteration order (batch results are positional) and worker
+//! identity must never pick which member runs next.
 
 use std::collections::HashMap;
 
@@ -17,7 +17,7 @@ fn sweep_members(members: &HashMap<usize, u64>) -> Vec<u64> {
 }
 
 fn pick_next_member(runnable: &[usize]) -> usize {
-    // worker identity steering the merged event queue
+    // worker identity steering the member order
     let tid = std::thread::current().id();
     let salt = format!("{tid:?}").len();
     runnable[salt % runnable.len()]

@@ -1,15 +1,16 @@
-//! The round-by-round executor of the radio model.
+//! Run options, results, and the semantics of the radio-model engine.
 //!
-//! [`Executor::run`] plays a [`DripFactory`] on a
-//! [`radio_graph::Configuration`] and produces an
-//! [`Execution`]: per-node histories, wake and termination rounds, and
-//! aggregate statistics. The engine is fully deterministic — same
+//! [`ModelKind::run`](crate::ModelKind::run) plays a
+//! [`DripFactory`](crate::DripFactory) on a
+//! [`radio_graph::Configuration`] and produces an [`Execution`]: per-node
+//! histories, wake and termination rounds, and aggregate statistics. The engine is fully deterministic — same
 //! configuration, DRIP, and channel model, same execution, bit for bit.
 //!
-//! Channel semantics are pluggable: [`Executor::run_model`] is generic
-//! over a [`RadioModel`], which decides what listeners perceive and what
-//! wakes sleepers. [`Executor::run`] is the paper's model
-//! ([`NoCollisionDetection`]).
+//! Channel semantics are pluggable: the run loop is generic over a
+//! [`RadioModel`](crate::RadioModel), which decides what listeners
+//! perceive and what wakes sleepers; [`ModelKind`](crate::ModelKind)
+//! selects one at run time, and its default is the paper's model
+//! ([`NoCollisionDetection`](crate::NoCollisionDetection)).
 //!
 //! # Round anatomy (global round `r`)
 //!
@@ -20,10 +21,10 @@
 //!    transmitter the engine counts transmitting neighbours (round-stamped
 //!    counters, no per-round clearing).
 //! 3. **Deliver** — transmitters record silence (they hear nothing);
-//!    listeners record what [`RadioModel::listener_obs`] dictates;
+//!    listeners record what [`RadioModel::listener_obs`](crate::RadioModel::listener_obs) dictates;
 //!    terminators are retired.
 //! 4. **Forced wake-ups** — sleeping neighbours of transmitters wake
-//!    exactly when [`RadioModel::wake_obs`] says so, with the entry it
+//!    exactly when [`RadioModel::wake_obs`](crate::RadioModel::wake_obs) says so, with the entry it
 //!    returns as `H[0]`. Under the default model that is "exactly one
 //!    message heard" and sleeping nodes under a collision stay asleep
 //!    (noise is not a message).
@@ -75,18 +76,18 @@
 //!
 //! The run loop itself lives in [`SimWorkspace`](crate::SimWorkspace),
 //! which owns all of the state above and recycles it across runs;
-//! [`Executor`] is the stateless one-shot façade (a fresh workspace per
-//! call). Batch workloads — [`crate::parallel`], the campaign layer —
-//! keep one long-lived workspace per worker thread instead.
+//! [`ModelKind::run`](crate::ModelKind::run) is the one-shot façade (a
+//! fresh workspace per call). Batch workloads — [`crate::parallel`], the
+//! campaign layer — keep one long-lived workspace per worker thread and
+//! call [`SimWorkspace::run_kind`](crate::SimWorkspace::run_kind) or
+//! [`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident)
+//! instead.
 
-use radio_graph::{Configuration, NodeId};
+use radio_graph::NodeId;
 
-use crate::drip::DripFactory;
 use crate::history::History;
-use crate::model::{NoCollisionDetection, RadioModel};
 use crate::msg::Obs;
 use crate::trace::Trace;
-use crate::workspace::SimWorkspace;
 
 /// Execution limits and instrumentation switches.
 #[derive(Debug, Clone, Copy)]
@@ -104,16 +105,6 @@ pub struct RunOpts {
     /// way — only [`Execution::rounds_stepped`] /
     /// [`Execution::rounds_leapt`] and wall-clock time differ.
     pub leap: bool,
-    /// Store histories sparsely: only non-silent observations are kept,
-    /// silence exists virtually (see
-    /// [`HistoryView`](crate::history::HistoryView)). Semantically
-    /// invisible — every accessor except `HistoryView::as_slice` answers
-    /// identically and results are bit-for-bit the same — but
-    /// silence-dominated million-node histories shrink by orders of
-    /// magnitude. Off by default because DRIPs that read raw slices
-    /// (e.g. the patient transform) would panic; the canonical election
-    /// path enables it.
-    pub sparse_histories: bool,
     /// Store history *lengths* only: no observation content is retained
     /// at all. Non-silent observations are still delivered to the nodes
     /// through [`DripNode::observe`](crate::drip::DripNode::observe) as
@@ -121,10 +112,12 @@ pub struct RunOpts {
     /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim) —
     /// so this mode is only sound for DRIPs that fold their history
     /// online (the canonical DRIP's streaming mode). Views still answer
-    /// `len()` correctly but report every entry as `(∅)`; materializing
-    /// an [`Execution`] in this mode is a contract violation (debug
-    /// asserted). This is the million-node election mode: per-node
-    /// memory drops to one counter.
+    /// `len()` correctly but report every entry as `(∅)`. Only the
+    /// resident run ([`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident))
+    /// honours it: materializing an [`Execution`] needs the content, so
+    /// [`SimWorkspace::run_kind`](crate::SimWorkspace::run_kind) clears
+    /// it. This is the million-node election mode: per-node memory drops
+    /// to one counter.
     pub len_only_histories: bool,
 }
 
@@ -134,7 +127,6 @@ impl Default for RunOpts {
             max_rounds: 50_000_000,
             record_trace: false,
             leap: true,
-            sparse_histories: false,
             len_only_histories: false,
         }
     }
@@ -159,13 +151,6 @@ impl RunOpts {
     /// one by one (the pre-leap engine behaviour).
     pub fn no_leap(mut self) -> RunOpts {
         self.leap = false;
-        self
-    }
-
-    /// Enables sparse (silence-virtualizing) history storage — see
-    /// [`RunOpts::sparse_histories`].
-    pub fn sparse(mut self) -> RunOpts {
-        self.sparse_histories = true;
         self
     }
 
@@ -305,40 +290,11 @@ impl Execution {
     }
 }
 
-/// The simulator. Stateless; [`Executor::run`] may be called freely from
-/// multiple threads. Each call builds a fresh [`SimWorkspace`] — callers
-/// running many simulations back to back should hold a workspace of their
-/// own and call [`SimWorkspace::run`] instead.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Executor;
-
-impl Executor {
-    /// Runs `factory`'s DRIP on `config` under the paper's channel model
-    /// ([`NoCollisionDetection`]) until every node has terminated, or
-    /// fails with [`SimError::RoundLimit`].
-    pub fn run(
-        config: &Configuration,
-        factory: &dyn DripFactory,
-        opts: RunOpts,
-    ) -> Result<Execution, SimError> {
-        Self::run_model::<NoCollisionDetection>(config, factory, opts)
-    }
-
-    /// [`Executor::run`] under an explicit channel model `M`.
-    pub fn run_model<M: RadioModel>(
-        config: &Configuration,
-        factory: &dyn DripFactory,
-        opts: RunOpts,
-    ) -> Result<Execution, SimError> {
-        SimWorkspace::new().run_model::<M>(config, factory, opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drip::{BeaconFactory, EchoFactory, SilentFactory, WaitThenTransmitFactory};
-    use crate::model::{Beeping, CollisionDetection};
+    use crate::model::ModelKind;
     use crate::msg::Msg;
     use radio_graph::{generators, Configuration};
 
@@ -349,7 +305,9 @@ mod tests {
     #[test]
     fn silent_drip_runs_and_terminates() {
         let c = cfg(generators::path(3), vec![0, 1, 2]);
-        let ex = Executor::run(&c, &SilentFactory { lifetime: 4 }, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(&c, &SilentFactory { lifetime: 4 }, RunOpts::default())
+            .unwrap();
         assert_eq!(ex.wake_round, vec![0, 1, 2]);
         // each node terminates 4 local rounds after wake
         assert_eq!(ex.done_round, vec![4, 5, 6]);
@@ -366,16 +324,17 @@ mod tests {
         // also transmits, so it hears nothing — the paper's "a node that
         // transmits in a given round does not hear anything".
         let c = cfg(generators::path(3), vec![0, 0, 0]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(7),
-                lifetime: 3,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(7),
+                    lifetime: 3,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(ex.stats.transmissions, 3);
         assert_eq!(ex.stats.messages_received, 0);
         assert_eq!(ex.stats.collisions_observed, 0);
@@ -387,16 +346,17 @@ mod tests {
         // node 0 wakes at 0 and transmits at global 1; nodes 1,2 wake at 5:
         // they are asleep during the transmission → node 1 is force-woken.
         let c = cfg(generators::path(3), vec![0, 5, 5]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(9),
-                lifetime: 8,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(9),
+                    lifetime: 8,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(ex.wake_round[1], 1, "forced wake-up at transmission round");
         assert_eq!(ex.wake_obs(1), Obs::Heard(Msg(9)));
         assert!(!ex.woke_spontaneously(1));
@@ -413,16 +373,17 @@ mod tests {
         // transmits at global 1 alone; the leaves are woken by it and all
         // transmit at global 2, while the centre listens → collision.
         let c = cfg(generators::star(4), vec![0, 1, 1, 1]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(2),
-                lifetime: 6,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(2),
+                    lifetime: 6,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         // center transmits at global 1 (alone → leaves asleep get woken...
         // leaves are asleep at r=1 with tag 1: spontaneous wake also at 1.
         // Forced wake runs first: each leaf hears exactly one transmitter
@@ -444,16 +405,17 @@ mod tests {
         // at 0, transmit at global 1 simultaneously; center tag is 9. The
         // collision at the sleeping center must NOT wake it.
         let c = cfg(generators::star(3), vec![9, 0, 0]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(1),
-                lifetime: 12,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(1),
+                    lifetime: 12,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(
             ex.wake_round[0], 9,
             "collision must not wake the sleeping centre"
@@ -470,16 +432,17 @@ mod tests {
         // CollisionDetection model the sleeping centre IS woken — by noise,
         // recording (~) as its wake-up entry.
         let c = cfg(generators::star(3), vec![9, 0, 0]);
-        let ex = Executor::run_model::<CollisionDetection>(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(1),
-                lifetime: 12,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::CollisionDetection
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(1),
+                    lifetime: 12,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(ex.wake_round[0], 1, "noise wakes the centre at global 1");
         assert_eq!(ex.wake_obs(0), Obs::Noise);
         assert!(!ex.woke_spontaneously(0));
@@ -491,16 +454,17 @@ mod tests {
         // path 0-1, node 0 transmits at global 1; under Beeping node 1 is
         // woken by a content-free beep, and no message is ever received.
         let c = cfg(generators::path(2), vec![0, 9]);
-        let ex = Executor::run_model::<Beeping>(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(4),
-                lifetime: 5,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::Beeping
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(4),
+                    lifetime: 5,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(ex.wake_round[1], 1);
         assert_eq!(ex.wake_obs(1), Obs::Noise);
         assert_eq!(ex.stats.messages_received, 0);
@@ -514,16 +478,17 @@ mod tests {
         // path 0-1: node 0 wakes at 0, transmits at global 1; node 1's tag
         // is exactly 1 → wake with H[0]=(M).
         let c = cfg(generators::path(2), vec![0, 1]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(4),
-                lifetime: 5,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(4),
+                    lifetime: 5,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         assert_eq!(ex.wake_round[1], 1);
         assert_eq!(
             ex.wake_obs(1),
@@ -537,12 +502,13 @@ mod tests {
     fn round_limit_errors() {
         let c = cfg(generators::path(2), vec![0, 0]);
         // lifetime beyond the limit → RoundLimit
-        let err = Executor::run(
-            &c,
-            &SilentFactory { lifetime: 100 },
-            RunOpts::with_max_rounds(10),
-        )
-        .unwrap_err();
+        let err = ModelKind::default()
+            .run(
+                &c,
+                &SilentFactory { lifetime: 100 },
+                RunOpts::with_max_rounds(10),
+            )
+            .unwrap_err();
         assert_eq!(
             err,
             SimError::RoundLimit {
@@ -561,7 +527,7 @@ mod tests {
             } else {
                 RunOpts::with_max_rounds(max_rounds).no_leap()
             };
-            Executor::run(
+            ModelKind::default().run(
                 &cfg(generators::path(3), vec![0, 1, 2]),
                 &SilentFactory { lifetime: 4 },
                 opts,
@@ -593,16 +559,17 @@ mod tests {
         // newly woken node rebroadcasts: exactly an echo chain.
         let n = 6;
         let c = cfg(generators::path(n), vec![0, 9, 9, 9, 9, 9]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(1),
-                lifetime: 20,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(1),
+                    lifetime: 20,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         // wake wave: node v woken at round v by node v-1's transmission
         for v in 0..n {
             assert_eq!(ex.wake_round[v], v as u64, "node {v}");
@@ -624,8 +591,12 @@ mod tests {
             msg: Msg(5),
             lifetime: 20,
         };
-        let leap = Executor::run(&c, &f, RunOpts::default()).unwrap();
-        let step = Executor::run(&c, &f, RunOpts::default().no_leap()).unwrap();
+        let leap = ModelKind::default()
+            .run(&c, &f, RunOpts::default())
+            .unwrap();
+        let step = ModelKind::default()
+            .run(&c, &f, RunOpts::default().no_leap())
+            .unwrap();
         assert_eq!(leap.wake_round, step.wake_round);
         assert_eq!(leap.done_round, step.done_round);
         assert_eq!(leap.histories, step.histories);
@@ -657,8 +628,12 @@ mod tests {
             msg: Msg(1),
             lifetime: 9,
         };
-        let leap = Executor::run(&c, &f, RunOpts::default().traced()).unwrap();
-        let step = Executor::run(&c, &f, RunOpts::default().no_leap().traced()).unwrap();
+        let leap = ModelKind::default()
+            .run(&c, &f, RunOpts::default().traced())
+            .unwrap();
+        let step = ModelKind::default()
+            .run(&c, &f, RunOpts::default().no_leap().traced())
+            .unwrap();
         assert!(leap.rounds_stepped < 20, "dead stretch must be leapt");
         let (lt, st) = (leap.trace.unwrap(), step.trace.unwrap());
         assert_eq!(lt.events, st.events, "trace must be round-for-round equal");
@@ -670,16 +645,17 @@ mod tests {
     #[test]
     fn trace_records_eventful_rounds_only() {
         let c = cfg(generators::path(2), vec![0, 3]);
-        let ex = Executor::run(
-            &c,
-            &WaitThenTransmitFactory {
-                wait: 1,
-                msg: Msg(1),
-                lifetime: 6,
-            },
-            RunOpts::default().traced(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &WaitThenTransmitFactory {
+                    wait: 1,
+                    msg: Msg(1),
+                    lifetime: 6,
+                },
+                RunOpts::default().traced(),
+            )
+            .unwrap();
         let trace = ex.trace.as_ref().unwrap();
         // round 0: node 0 wakes; round 2: node 0 transmits (local 2 = wait+1)
         // and node 1 is woken...
@@ -697,7 +673,9 @@ mod tests {
         // but end nodes (degree 1) and middle node still have identical
         // histories (all silence) → one class.
         let c = cfg(generators::path(3), vec![0, 0, 0]);
-        let ex = Executor::run(&c, &SilentFactory { lifetime: 5 }, RunOpts::default()).unwrap();
+        let ex = ModelKind::default()
+            .run(&c, &SilentFactory { lifetime: 5 }, RunOpts::default())
+            .unwrap();
         let classes = ex.history_classes();
         assert_eq!(classes.len(), 1);
         assert_eq!(classes[0], vec![0, 1, 2]);
@@ -707,16 +685,17 @@ mod tests {
     #[test]
     fn beacon_floods_and_terminates() {
         let c = cfg(generators::cycle(5), vec![0, 0, 0, 0, 0]);
-        let ex = Executor::run(
-            &c,
-            &BeaconFactory {
-                start: 1,
-                lifetime: 3,
-                msg: Msg(1),
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &BeaconFactory {
+                    start: 1,
+                    lifetime: 3,
+                    msg: Msg(1),
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         // all transmit rounds 1,2 → 10 transmissions
         assert_eq!(ex.stats.transmissions, 10);
         // everyone transmits simultaneously → nobody ever hears anything

@@ -174,7 +174,6 @@ pub fn run_reference_model<M: RadioModel>(
 mod tests {
     use super::*;
     use crate::drip::{BeaconFactory, EchoFactory, SilentFactory, WaitThenTransmitFactory};
-    use crate::engine::Executor;
     use crate::model::ModelKind;
     use crate::patient::PatientFactory;
     use radio_graph::generators;
@@ -249,7 +248,9 @@ mod tests {
     fn engines_agree_on_round_limit_errors() {
         let config = Configuration::new(generators::path(2), vec![0, 0]).unwrap();
         let opts = RunOpts::with_max_rounds(5);
-        let fast = Executor::run(&config, &SilentFactory { lifetime: 100 }, opts).unwrap_err();
+        let fast = ModelKind::default()
+            .run(&config, &SilentFactory { lifetime: 100 }, opts)
+            .unwrap_err();
         let naive = run_reference(&config, &SilentFactory { lifetime: 100 }, opts).unwrap_err();
         assert_eq!(fast, naive);
     }

@@ -152,17 +152,17 @@ impl<'a> IntoIterator for &'a History {
 /// accessors:
 ///
 /// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
-///   form, the batch engine, the default workspace arena);
+///   form, the default workspace arena);
 /// * **sparse** — the non-silent entries only, as sorted
 ///   `(local_round, obs)` events plus a virtual length; every other round
-///   reads as `(∅)`. Produced by the engine's silence-virtualizing arena
-///   ([`RunOpts::sparse_histories`](crate::RunOpts::sparse_histories)),
-///   where million-node histories dominated by silence would otherwise
-///   dwarf the configuration they came from.
+///   reads as `(∅)`. The engine's length-only arena
+///   ([`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories))
+///   hands out sparse views with no events at all, so a DRIP still sees
+///   the right history length.
 ///
 /// The one dense-only accessor is [`HistoryView::as_slice`], which
-/// panics on a sparse view — code meant to run under the sparse arena
-/// must read through `get`/`iter`/the query methods.
+/// panics on a sparse view — code meant to run under the length-only
+/// arena must read through `get`/`iter`/the query methods.
 #[derive(Debug, Clone, Copy)]
 pub struct HistoryView<'a> {
     repr: Repr<'a>,

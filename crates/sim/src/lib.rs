@@ -55,9 +55,6 @@
 //! * [`trace`] — optional round-by-round event recording.
 //! * [`workspace`] — reusable per-run engine state ([`SimWorkspace`]);
 //!   the run loop itself lives here, recycled across back-to-back runs.
-//! * [`batch`] — cross-run batched execution ([`BatchWorkspace`]): B
-//!   member runs through one fused hot loop, bit-identical to the
-//!   sequential workspace.
 //! * [`parallel`] — scoped-thread parallel batch execution with
 //!   worker-scoped state (one long-lived workspace per worker).
 //!
@@ -69,11 +66,11 @@
 //! ```
 //! use radio_graph::{generators, Configuration};
 //! use radio_sim::drip::WaitThenTransmitFactory;
-//! use radio_sim::{Executor, Msg, RunOpts};
+//! use radio_sim::{ModelKind, Msg, RunOpts};
 //!
 //! let config = Configuration::new(generators::path(3), vec![0, 5, 5]).unwrap();
 //! let drip = WaitThenTransmitFactory { wait: 0, msg: Msg(7), lifetime: 10 };
-//! let execution = Executor::run(&config, &drip, RunOpts::default()).unwrap();
+//! let execution = ModelKind::default().run(&config, &drip, RunOpts::default()).unwrap();
 //!
 //! // node 0 transmits in global round 1, force-waking node 1 (its tag 5
 //! // never fires); node 1's relay wakes node 2 a round later.
@@ -85,7 +82,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod drip;
 pub mod election;
 pub mod engine;
@@ -98,12 +94,11 @@ pub mod patient;
 pub mod trace;
 pub mod workspace;
 
-pub use batch::{BatchRun, BatchWorkspace, MemberView};
 pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
 pub use election::{
     run_election, run_election_resident, ElectionOutcome, LeaderAlgorithm, ResidentOutcome,
 };
-pub use engine::{ExecStats, Execution, Executor, RunOpts, SimError};
+pub use engine::{ExecStats, Execution, RunOpts, SimError};
 pub use history::{History, HistoryView};
 pub use model::{Beeping, CollisionDetection, ModelKind, NoCollisionDetection, RadioModel};
 pub use msg::{Action, Msg, Obs};

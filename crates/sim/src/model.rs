@@ -180,25 +180,18 @@ impl ModelKind {
         }
     }
 
-    /// Runs the optimized engine under this model (see
-    /// [`Executor::run_model`](crate::Executor::run_model)).
+    /// Runs the optimized engine under this model on a fresh
+    /// [`SimWorkspace`](crate::SimWorkspace) — the one-shot entry point.
+    /// Callers running many simulations back to back should hold a
+    /// workspace and call
+    /// [`SimWorkspace::run_kind`](crate::SimWorkspace::run_kind) instead.
     pub fn run(
         self,
         config: &radio_graph::Configuration,
         factory: &dyn crate::drip::DripFactory,
         opts: crate::engine::RunOpts,
     ) -> Result<crate::engine::Execution, crate::engine::SimError> {
-        match self {
-            ModelKind::NoCollisionDetection => {
-                crate::engine::Executor::run_model::<NoCollisionDetection>(config, factory, opts)
-            }
-            ModelKind::CollisionDetection => {
-                crate::engine::Executor::run_model::<CollisionDetection>(config, factory, opts)
-            }
-            ModelKind::Beeping => {
-                crate::engine::Executor::run_model::<Beeping>(config, factory, opts)
-            }
-        }
+        crate::SimWorkspace::new().run_kind(self, config, factory, opts)
     }
 
     /// Runs the naive reference engine under this model (see

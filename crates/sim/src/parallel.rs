@@ -167,36 +167,6 @@ pub fn run_batch(
     )
 }
 
-/// [`run_batch`] through the fused batch engine: configurations are split
-/// into contiguous batches of `batch_size`, each worker thread owns one
-/// long-lived [`BatchWorkspace`](crate::BatchWorkspace), and every batch
-/// runs as one fused engine pass. Results are identical to [`run_batch`]
-/// bit for bit (the batch engine's contract); only the schedule changes.
-pub fn run_batch_fused(
-    configs: &[radio_graph::Configuration],
-    factory: &(dyn crate::drip::DripFactory + Sync),
-    model: crate::model::ModelKind,
-    opts: crate::engine::RunOpts,
-    batch_size: usize,
-) -> Vec<Result<crate::engine::Execution, crate::engine::SimError>> {
-    let batches: Vec<&[radio_graph::Configuration]> = configs.chunks(batch_size.max(1)).collect();
-    par_map_init(
-        &batches,
-        default_threads(),
-        crate::batch::BatchWorkspace::new,
-        |ws, batch| {
-            let runs: Vec<crate::batch::BatchRun<'_>> = batch
-                .iter()
-                .map(|config| crate::batch::BatchRun { config, factory })
-                .collect();
-            ws.run_kind(model, &runs, opts)
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,38 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_fused_matches_run_batch() {
-        use crate::drip::WaitThenTransmitFactory;
-        use radio_graph::{generators, Configuration};
-        let configs: Vec<Configuration> = (2..12)
-            .map(|n| {
-                let tags: Vec<u64> = (0..n as u64).map(|v| v % 5).collect();
-                Configuration::new(generators::star(n), tags).unwrap()
-            })
-            .collect();
-        let factory = WaitThenTransmitFactory {
-            wait: 1,
-            msg: crate::Msg(3),
-            lifetime: 8,
-        };
-        let opts = crate::engine::RunOpts::default();
-        for model in crate::model::ModelKind::ALL {
-            let plain = run_batch(&configs, &factory, model, opts);
-            // batch sizes straddling the item count, including a ragged tail
-            for batch_size in [1, 3, 4, 100] {
-                let fused = run_batch_fused(&configs, &factory, model, opts, batch_size);
-                assert_eq!(fused.len(), plain.len());
-                for (a, b) in plain.iter().zip(&fused) {
-                    let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                    assert_eq!(a.histories, b.histories, "{model:?} bs={batch_size}");
-                    assert_eq!(a.rounds_stepped, b.rounds_stepped);
-                    assert_eq!(a.rounds_leapt, b.rounds_leapt);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn init_builds_one_state_per_worker() {
         use std::sync::atomic::AtomicUsize;
         let inits = AtomicUsize::new(0);
@@ -367,8 +305,9 @@ mod tests {
             crate::engine::RunOpts::default(),
         );
         for (config, result) in configs.iter().zip(&results) {
-            let fresh =
-                crate::Executor::run(config, &factory, crate::engine::RunOpts::default()).unwrap();
+            let fresh = crate::ModelKind::default()
+                .run(config, &factory, crate::engine::RunOpts::default())
+                .unwrap();
             let batched = result.as_ref().unwrap();
             assert_eq!(batched.histories, fresh.histories);
             assert_eq!(batched.rounds, fresh.rounds);

@@ -167,7 +167,8 @@ impl DripNode for PatientNode {
 mod tests {
     use super::*;
     use crate::drip::{PureFactory, WaitThenTransmitFactory};
-    use crate::engine::{Executor, RunOpts};
+    use crate::engine::RunOpts;
+    use crate::model::ModelKind;
     use crate::msg::{Msg, Obs};
     use radio_graph::{generators, Configuration};
 
@@ -183,12 +184,13 @@ mod tests {
             msg: Msg(1),
             lifetime: 30,
         };
-        let ex = Executor::run(
-            &c,
-            &PatientFactory::new(inner, sigma),
-            RunOpts::default().traced(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &c,
+                &PatientFactory::new(inner, sigma),
+                RunOpts::default().traced(),
+            )
+            .unwrap();
         let trace = ex.trace.as_ref().unwrap();
         for e in &trace.events {
             if !e.transmitters.is_empty() {
@@ -212,9 +214,12 @@ mod tests {
             msg: Msg(5),
             lifetime: 9,
         };
-        let plain = Executor::run(&c, &inner(), RunOpts::default()).unwrap();
-        let wrapped =
-            Executor::run(&c, &PatientFactory::new(inner(), 0), RunOpts::default()).unwrap();
+        let plain = ModelKind::default()
+            .run(&c, &inner(), RunOpts::default())
+            .unwrap();
+        let wrapped = ModelKind::default()
+            .run(&c, &PatientFactory::new(inner(), 0), RunOpts::default())
+            .unwrap();
         assert_eq!(plain.histories, wrapped.histories);
         assert_eq!(plain.done_round, wrapped.done_round);
     }
@@ -233,9 +238,12 @@ mod tests {
             lifetime: 12,
         };
 
-        let plain = Executor::run(&c, &inner(), RunOpts::default()).unwrap();
-        let wrapped =
-            Executor::run(&c, &PatientFactory::new(inner(), sigma), RunOpts::default()).unwrap();
+        let plain = ModelKind::default()
+            .run(&c, &inner(), RunOpts::default())
+            .unwrap();
+        let wrapped = ModelKind::default()
+            .run(&c, &PatientFactory::new(inner(), sigma), RunOpts::default())
+            .unwrap();
 
         for v in 0..4u32 {
             let vh = wrapped.history(v);

@@ -160,20 +160,22 @@ mod tests {
     #[test]
     fn history_matrix_renders_rows_and_phases() {
         use crate::drip::WaitThenTransmitFactory;
-        use crate::engine::{Executor, RunOpts};
+        use crate::engine::RunOpts;
+        use crate::model::ModelKind;
         let config =
             radio_graph::Configuration::new(radio_graph::generators::path(3), vec![0, 2, 2])
                 .unwrap();
-        let ex = Executor::run(
-            &config,
-            &WaitThenTransmitFactory {
-                wait: 0,
-                msg: Msg(1),
-                lifetime: 5,
-            },
-            RunOpts::default(),
-        )
-        .unwrap();
+        let ex = ModelKind::default()
+            .run(
+                &config,
+                &WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(1),
+                    lifetime: 5,
+                },
+                RunOpts::default(),
+            )
+            .unwrap();
         let matrix = render_history_matrix(&ex, config.tags());
         let lines: Vec<&str> = matrix.lines().collect();
         assert_eq!(lines.len(), 3);

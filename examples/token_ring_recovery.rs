@@ -14,7 +14,6 @@
 //! ```
 
 use anon_radio_repro::prelude::*;
-use radio_sim::Executor;
 
 fn main() {
     let n = 8;
@@ -47,7 +46,8 @@ fn main() {
 
             // Narrate the radio traffic of the recovery.
             let factory = compiled.factory();
-            let execution = Executor::run(&config, &factory, RunOpts::default().traced())
+            let execution = ModelKind::default()
+                .run(&config, &factory, RunOpts::default().traced())
                 .expect("canonical DRIP terminates");
             let trace = execution.trace.as_ref().expect("tracing enabled");
             println!("radio traffic ({} eventful rounds):", trace.events.len());

@@ -25,5 +25,5 @@ pub use radio_util as util;
 pub mod prelude {
     pub use anon_radio::{elect_leader, is_feasible, solve, CompiledElection, ElectionReport};
     pub use radio_graph::{families, generators, Configuration, Graph, NodeId};
-    pub use radio_sim::{Action, Executor, ModelKind, Msg, Obs, RunOpts, SimWorkspace};
+    pub use radio_sim::{Action, ModelKind, Msg, Obs, RunOpts, SimWorkspace};
 }

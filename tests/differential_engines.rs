@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::{BeaconFactory, EchoFactory, WaitThenTransmitFactory};
 use radio_sim::engine_ref::run_reference;
-use radio_sim::{DripFactory, Executor, ModelKind, Msg, PatientFactory, RunOpts};
+use radio_sim::{DripFactory, ModelKind, Msg, PatientFactory, RunOpts};
 
 fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
     let mut rng = radio_util::rng::rng_from(seed);
@@ -26,10 +26,12 @@ fn assert_identical(
     config: &Configuration,
     factory: &dyn DripFactory,
 ) -> Result<(), TestCaseError> {
-    // The default model first (also exercised via the legacy entry points
-    // so `Executor::run`/`run_reference` stay bit-for-bit with the seed
-    // semantics) …
-    let fast = Executor::run(config, factory, RunOpts::default()).unwrap();
+    // The default model first (also through the default-model entry
+    // points, so `ModelKind::run`/`run_reference` stay bit-for-bit with
+    // the seed semantics) …
+    let fast = ModelKind::default()
+        .run(config, factory, RunOpts::default())
+        .unwrap();
     let naive = run_reference(config, factory, RunOpts::default()).unwrap();
     prop_assert_eq!(&fast.wake_round, &naive.wake_round, "{}", config);
     prop_assert_eq!(&fast.done_round, &naive.done_round, "{}", config);
@@ -189,7 +191,9 @@ fn million_span_silent_config_is_event_bound() {
     let span = 1_000_000u64;
     let config = Configuration::new(generators::path(4), vec![0, span / 2, span, 7]).unwrap();
     let f = radio_sim::drip::SilentFactory { lifetime: 5 };
-    let ex = Executor::run(&config, &f, RunOpts::default()).unwrap();
+    let ex = ModelKind::default()
+        .run(&config, &f, RunOpts::default())
+        .unwrap();
     assert_eq!(ex.rounds, span + 6, "last waker terminates 5 rounds in");
     assert_eq!(ex.rounds_stepped + ex.rounds_leapt, ex.rounds);
     assert!(
@@ -199,7 +203,9 @@ fn million_span_silent_config_is_event_bound() {
         ex.rounds
     );
     // And the result is exactly the one the step-by-step engine computes.
-    let step = Executor::run(&config, &f, RunOpts::default().no_leap()).unwrap();
+    let step = ModelKind::default()
+        .run(&config, &f, RunOpts::default().no_leap())
+        .unwrap();
     assert_eq!(ex.histories, step.histories);
     assert_eq!(ex.wake_round, step.wake_round);
     assert_eq!(ex.done_round, step.done_round);

@@ -106,7 +106,8 @@ fn infeasible_corpus_has_no_singleton_history() {
         let (outcome, schedule) = anon_radio::CanonicalSchedule::build(&config);
         assert!(!outcome.feasible, "{name}");
         let factory = anon_radio::CanonicalFactory::new(std::sync::Arc::new(schedule));
-        let ex = radio_sim::Executor::run(&config, &factory, radio_sim::RunOpts::default())
+        let ex = radio_sim::ModelKind::default()
+            .run(&config, &factory, radio_sim::RunOpts::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             ex.unique_history_nodes().is_empty(),

@@ -98,7 +98,7 @@ proptest! {
                 prop_assert!(!outcome.feasible);
                 let factory =
                     anon_radio::CanonicalFactory::new(std::sync::Arc::new(schedule));
-                let ex = radio_sim::Executor::run(
+                let ex = radio_sim::ModelKind::default().run(
                     &config,
                     &factory,
                     radio_sim::RunOpts::default(),

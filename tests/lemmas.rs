@@ -73,7 +73,9 @@ fn proposition_2_1_local_global_conversion() {
     let config = families::g_m(3);
     let (_, schedule) = anon_radio::CanonicalSchedule::build(&config);
     let factory = anon_radio::CanonicalFactory::new(std::sync::Arc::new(schedule));
-    let ex = radio_sim::Executor::run(&config, &factory, radio_sim::RunOpts::default()).unwrap();
+    let ex = radio_sim::ModelKind::default()
+        .run(&config, &factory, radio_sim::RunOpts::default())
+        .unwrap();
     for v in 0..config.size() as u32 {
         assert_eq!(ex.wake_round[v as usize], config.tag(v));
         for w in 0..config.size() as u32 {

@@ -127,7 +127,9 @@ fn patient_runs_are_never_early() {
         let sigma = config.span();
         let (factory, _) = inner_algorithm(0);
         let patient = PatientFactory::new(factory, sigma);
-        let ex = radio_sim::Executor::run(&config, &patient, RunOpts::default().traced()).unwrap();
+        let ex = radio_sim::ModelKind::default()
+            .run(&config, &patient, RunOpts::default().traced())
+            .unwrap();
         for event in &ex.trace.unwrap().events {
             if !event.transmitters.is_empty() {
                 assert!(
@@ -151,11 +153,15 @@ fn patient_suffix_equality_claim_2_3() {
         let sigma = config.span();
 
         let (factory, _) = inner_algorithm(1);
-        let plain = radio_sim::Executor::run(&config, &factory, RunOpts::default()).unwrap();
+        let plain = radio_sim::ModelKind::default()
+            .run(&config, &factory, RunOpts::default())
+            .unwrap();
 
         let (factory, _) = inner_algorithm(1);
         let patient = PatientFactory::new(factory, sigma);
-        let wrapped = radio_sim::Executor::run(&config, &patient, RunOpts::default()).unwrap();
+        let wrapped = radio_sim::ModelKind::default()
+            .run(&config, &patient, RunOpts::default())
+            .unwrap();
 
         for v in 0..config.size() as u32 {
             let s = (plain.wake_round[v as usize] + sigma - config.tag(v)) as usize;

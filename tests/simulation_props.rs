@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::{BeaconFactory, SilentFactory, WaitThenTransmitFactory};
-use radio_sim::{Executor, Msg, Obs, RunOpts};
+use radio_sim::{ModelKind, Msg, Obs, RunOpts};
 use radio_util::rng::rng_from;
 
 fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn silent_runs_have_no_traffic(config in config_strategy(), life in 1u64..12) {
-        let ex = Executor::run(&config, &SilentFactory { lifetime: life }, RunOpts::default())
+        let ex = ModelKind::default().run(&config, &SilentFactory { lifetime: life }, RunOpts::default())
             .unwrap();
         prop_assert_eq!(ex.stats.transmissions, 0);
         prop_assert_eq!(ex.stats.messages_received, 0);
@@ -46,7 +46,7 @@ proptest! {
         wait in 0u64..6,
     ) {
         let drip = WaitThenTransmitFactory { wait, msg: Msg(3), lifetime: wait + 10 };
-        let ex = Executor::run(&config, &drip, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config, &drip, RunOpts::default()).unwrap();
         for v in 0..config.size() as u32 {
             prop_assert_eq!(ex.history(v).len() as u64, ex.done_local(v));
         }
@@ -59,7 +59,7 @@ proptest! {
         // messages_received ≤ Σ (receivers per transmission) and
         // transmissions ≥ 1 whenever anything was heard.
         let drip = WaitThenTransmitFactory { wait, msg: Msg(1), lifetime: wait + 10 };
-        let ex = Executor::run(&config, &drip, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config, &drip, RunOpts::default()).unwrap();
         if ex.stats.messages_received > 0 || ex.stats.collisions_observed > 0 {
             prop_assert!(ex.stats.transmissions > 0);
         }
@@ -75,7 +75,7 @@ proptest! {
         config in config_strategy(),
         start in 1u64..4,
     ) {
-        let ex = Executor::run(
+        let ex = ModelKind::default().run(
             &config,
             &BeaconFactory { start, lifetime: start + 6, msg: Msg(2) },
             RunOpts::default(),
@@ -99,7 +99,7 @@ proptest! {
         wait in 0u64..5,
     ) {
         let drip = WaitThenTransmitFactory { wait, msg: Msg(1), lifetime: wait + 8 };
-        let ex = Executor::run(&config, &drip, RunOpts::default().traced()).unwrap();
+        let ex = ModelKind::default().run(&config, &drip, RunOpts::default().traced()).unwrap();
         let traced: u64 = ex
             .trace
             .as_ref()
@@ -117,7 +117,7 @@ proptest! {
         payload in 1u64..1000,
     ) {
         let drip = WaitThenTransmitFactory { wait: 0, msg: Msg(payload), lifetime: 8 };
-        let ex = Executor::run(&config, &drip, RunOpts::default()).unwrap();
+        let ex = ModelKind::default().run(&config, &drip, RunOpts::default()).unwrap();
         for v in 0..config.size() as u32 {
             for (_, obs) in ex.history(v).iter() {
                 if let Obs::Heard(m) = obs {

@@ -11,14 +11,16 @@
 
 use radio_graph::{families, generators, Configuration, NodeId};
 use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::{DripFactory, Executor, Msg, RunOpts};
+use radio_sim::{DripFactory, ModelKind, Msg, RunOpts};
 
 fn histories_equal_under(
     config: &Configuration,
     perm: &[NodeId],
     factory: &dyn DripFactory,
 ) -> bool {
-    let ex = Executor::run(config, factory, RunOpts::default()).expect("terminates");
+    let ex = ModelKind::default()
+        .run(config, factory, RunOpts::default())
+        .expect("terminates");
     (0..config.size()).all(|v| ex.histories[v] == ex.histories[perm[v] as usize])
 }
 

@@ -113,16 +113,27 @@ fn one_workspace_matches_fresh_runs_across_a_shuffled_mix() {
 #[test]
 fn one_workspace_matches_fresh_canonical_elections() {
     // The compiled canonical DRIP (the paper's algorithm, quiet_until
-    // timetable and all) through a reused workspace, leap and no-leap.
+    // timetable and all) through a reused workspace, leap, no-leap and
+    // length-only.
     let mut ws = SimWorkspace::new();
     for m in [1u64, 4, 9] {
         let config = radio_graph::families::h_m(m);
         let compiled = anon_radio::solve(&config).expect("H_m feasible");
         let factory = compiled.factory();
-        for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
-            let reused = ws.run(&config, &factory, opts).expect("terminates");
-            let fresh = radio_sim::Executor::run(&config, &factory, opts).expect("terminates");
-            assert_bit_identical(&reused, &fresh, &format!("H_{m} leap={}", opts.leap));
+        // A materialized run needs the histories' content, so it ignores
+        // `len_only`: that run must equal the default run, content and all.
+        for (opts, want) in [
+            (RunOpts::default(), RunOpts::default()),
+            (RunOpts::default().no_leap(), RunOpts::default().no_leap()),
+            (RunOpts::default().len_only(), RunOpts::default()),
+        ] {
+            let reused = ws
+                .run_kind(ModelKind::default(), &config, &factory, opts)
+                .expect("terminates");
+            let fresh = ModelKind::default()
+                .run(&config, &factory, want)
+                .expect("terminates");
+            assert_bit_identical(&reused, &fresh, &format!("H_{m} {opts:?}"));
         }
         // and the full election pipeline through the workspace API
         let report = compiled
