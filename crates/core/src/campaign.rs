@@ -625,11 +625,12 @@ impl CellAggregate {
 /// full election pipeline per member under `model` and `opts` —
 /// compile once per distinct configuration fingerprint, simulate one
 /// representative per distinct feasible fingerprint through the worker's
-/// [`SimWorkspace`], validate the exactly-one-leader contract against
-/// the classifier's prediction, and fold its metrics straight off the
-/// workspace arena before the next run resets it — no per-run
-/// [`Execution`](radio_sim::Execution) is ever materialized. Duplicate
-/// draws copy their representative's shape.
+/// [`SimWorkspace`] by the step [`CompiledElection::run_in`] takes (a
+/// length-only resident run whose nodes report their own leader claims),
+/// and validate the exactly-one-leader contract against the classifier's
+/// prediction — no observation content is stored and no per-run
+/// [`Execution`](radio_sim::Execution) is materialized. Duplicate draws
+/// copy their representative's shape.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
@@ -689,11 +690,6 @@ pub fn election_metrics_batched(
     // configurations under the same opts produce bit-identical
     // executions — so the engine simulates one representative per
     // distinct feasible config and duplicates copy its shape verbatim.
-    // The decision reads stored histories, so the run keeps them.
-    let opts = RunOpts {
-        len_only_histories: false,
-        ..opts
-    };
     let mut rep_of: Vec<Option<usize>> = vec![None; uniq.len()];
     for k in 0..count {
         let compiled = &uniq[which[k]];
@@ -705,17 +701,12 @@ pub fn election_metrics_batched(
             continue;
         }
         rep_of[which[k]] = Some(k);
-        // Fold right after the run: the next run resets the arena the
-        // decision reads.
-        let sim = &mut workspace.sim;
+        // The same step `CompiledElection::run_in` takes; a foreign model
+        // that breaks the contract still contributes its run shape.
         let m = &mut metrics[k];
-        match sim.run_kind_resident(model, &configs[k], &compiled.factory(), opts) {
-            Ok(run) => {
-                let decision = compiled.decision();
-                let mut leaders = (0..configs[k].size() as radio_graph::NodeId)
-                    .filter(|&v| decision.is_leader_view(sim.history_view(v)));
-                m.elected =
-                    leaders.next() == Some(compiled.predicted_leader()) && leaders.next().is_none();
+        match compiled.elect_resident(&mut workspace.sim, &configs[k], model, opts) {
+            Ok((run, leaders)) => {
+                m.elected = leaders == [compiled.predicted_leader()];
                 m.simulated = true;
                 m.rounds = run.rounds;
                 m.transmissions = run.stats.transmissions;

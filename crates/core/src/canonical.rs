@@ -3,9 +3,22 @@
 //! Per phase `j ≤ T`, a node transmits `'1'` exactly once — in the
 //! `(σ+1)`-th round of its transmission block — and listens in every other
 //! round. Its block for phase 1 is 1 (all nodes); for each later phase it
-//! re-derives the block by matching its recorded history of the previous
-//! phase against the hard-coded `L_j` entries. In the first round after
-//! phase `T` every node terminates.
+//! re-derives the block by matching what it observed in the previous phase
+//! against the hard-coded `L_j` entries. In the first round after phase `T`
+//! every node terminates.
+//!
+//! ## Streaming match
+//!
+//! A node never re-reads its history's content: the engine feeds every
+//! non-silent observation to it as it lands ([`DripNode::observe`]), and
+//! the node folds it into a [`MatchCursor`] over the phase's compiled
+//! trie. At a phase boundary the cursor resolves the next block exactly as
+//! [`CanonicalSchedule::match_entries`](crate::schedule::CanonicalSchedule::match_entries)
+//! would over the stored history (Lemma 3.8); at termination it resolves
+//! against the would-be list `L_{T+1}` and compares with the leader class —
+//! the decision function `f_G` collapsed into the node, reported through
+//! [`DripNode::leader_claim`]. Only history *lengths* are read, which is
+//! what lets resident runs store no observation content at all.
 //!
 //! ## Off-schedule histories
 //!
@@ -13,50 +26,25 @@
 //! (Lemma 3.8). When the dedicated algorithm is (ab)used on a *different*
 //! configuration — e.g. in the universal-algorithm counterexample — a
 //! node's history may match zero or two entries. Such a node downgrades to
-//! a silent observer: it listens for the rest of the schedule and
-//! terminates on time. This keeps the DRIP total (every node terminates)
-//! without inventing behaviour the paper doesn't define.
+//! a silent observer: it listens for the rest of the schedule, terminates
+//! on time and never claims leadership. This keeps the DRIP total (every
+//! node terminates) without inventing behaviour the paper doesn't define.
 
 use radio_sim::{Action, DripFactory, DripNode, HistoryView, Msg, Obs};
 
 use crate::schedule::{MatchCursor, MatchResult, SharedSchedule};
-use radio_classifier::{Level, Multi, Triple};
+use radio_classifier::{Multi, Triple};
 
 /// Factory installing the canonical DRIP of one configuration at every
 /// node.
 pub struct CanonicalFactory {
     schedule: SharedSchedule,
-    streaming: bool,
 }
 
 impl CanonicalFactory {
     /// Wraps a compiled schedule.
     pub fn new(schedule: SharedSchedule) -> CanonicalFactory {
-        CanonicalFactory {
-            schedule,
-            streaming: false,
-        }
-    }
-
-    /// Wraps a compiled schedule in *streaming-match* mode: nodes fold
-    /// every observation into a [`MatchCursor`] as it lands (via
-    /// [`DripNode::observe`]) and resolve their phase matches — and the
-    /// final leader verdict — without ever re-reading history content.
-    /// Behaviour is bit-identical to [`CanonicalFactory::new`]; the point
-    /// is that it stays correct under
-    /// [`RunOpts::len_only_histories`](radio_sim::RunOpts), where
-    /// histories have lengths but no content, which removes the dominant
-    /// memory term of million-node elections.
-    pub fn streaming(schedule: SharedSchedule) -> CanonicalFactory {
-        CanonicalFactory {
-            schedule,
-            streaming: true,
-        }
-    }
-
-    /// The shared schedule.
-    pub fn schedule(&self) -> &SharedSchedule {
-        &self.schedule
+        CanonicalFactory { schedule }
     }
 }
 
@@ -66,10 +54,8 @@ impl DripFactory for CanonicalFactory {
             cursor: self.schedule.matcher_after_phase(1).start(1),
             schedule: self.schedule.clone(),
             phase: 1,
-            t_block: 1,
             transmit_at: self.schedule.transmit_round(1, 1),
             off_schedule: false,
-            streaming: self.streaming,
             is_leader: None,
         })
     }
@@ -87,18 +73,13 @@ struct CanonicalNode {
     schedule: SharedSchedule,
     /// Current phase `j` (1-based).
     phase: usize,
-    /// Transmission block within the current phase.
-    t_block: u32,
     /// Local round of this phase's transmission.
     transmit_at: u64,
     /// Set when matching failed (foreign configuration): listen-only mode.
     off_schedule: bool,
-    /// Streaming-match mode: phase matches (and the leader verdict) come
-    /// from `cursor`, fed by `observe`, instead of re-reading history.
-    streaming: bool,
-    /// Trie position within `matcher_after_phase(phase)` (streaming only).
+    /// Trie position within `matcher_after_phase(phase)`, fed by `observe`.
     cursor: MatchCursor,
-    /// The leader verdict, resolved once at termination (streaming only).
+    /// The leader verdict, resolved once at termination.
     is_leader: Option<bool>,
 }
 
@@ -108,11 +89,11 @@ impl DripNode for CanonicalNode {
         let s = &self.schedule;
 
         if i > s.phase_end(s.phases()) {
-            // r_T + 1: all nodes terminate (L_{T+1} = terminate). In
-            // streaming mode this is also where the decision function
-            // collapses into the node: resolve phase T's cursor against
-            // the final would-be list and compare with the leader class.
-            if self.streaming && self.is_leader.is_none() {
+            // r_T + 1: all nodes terminate (L_{T+1} = terminate). This is
+            // also where the decision function collapses into the node:
+            // resolve phase T's cursor against the final would-be list and
+            // compare with the leader class.
+            if self.is_leader.is_none() {
                 let claim = !self.off_schedule
                     && match self.cursor.resolve(s.matcher_after_phase(self.phase)) {
                         MatchResult::Unique(k) => s.lists.leader_class == Some(k),
@@ -124,27 +105,15 @@ impl DripNode for CanonicalNode {
         }
 
         if i > s.phase_end(self.phase) {
-            // First round of the next phase: derive the new block from the
-            // history of the phase that just ended.
+            // First round of the next phase: derive the new block from
+            // what was observed in the phase that just ended.
             let next = self.phase + 1;
             debug_assert!(next <= s.phases());
             if !self.off_schedule {
-                let result = if self.streaming {
-                    self.cursor.resolve(s.matcher_after_phase(self.phase))
-                } else {
-                    let entries = match s.lists.level(next) {
-                        Level::Blocks(entries) => entries,
-                        Level::Terminate => unreachable!("terminate level handled above"),
-                    };
-                    s.match_entries(history, self.phase, self.t_block, entries)
-                };
-                match result {
+                match self.cursor.resolve(s.matcher_after_phase(self.phase)) {
                     MatchResult::Unique(k) => {
-                        self.t_block = k;
                         self.transmit_at = s.transmit_round(next, k);
-                        if self.streaming {
-                            self.cursor = s.matcher_after_phase(next).start(k);
-                        }
+                        self.cursor = s.matcher_after_phase(next).start(k);
                     }
                     MatchResult::NoMatch | MatchResult::Ambiguous { .. } => {
                         self.off_schedule = true;
@@ -162,7 +131,7 @@ impl DripNode for CanonicalNode {
     }
 
     fn observe(&mut self, t: u64, obs: Obs) {
-        if !self.streaming || self.off_schedule || self.is_leader.is_some() {
+        if self.off_schedule || self.is_leader.is_some() {
             return;
         }
         // Project the observation onto phase geometry exactly as
@@ -372,93 +341,70 @@ mod tests {
     }
 
     #[test]
-    fn streaming_len_only_elects_exactly_like_the_dense_path() {
-        // The streaming factory under length-only histories must produce
-        // the same leaders and run shape as the dense factory judged by
-        // the view-reading decision function — across feasible,
-        // infeasible, and random configurations, with and without leaps.
+    fn resident_claims_match_the_decision_function_on_stored_histories() {
+        // The nodes' own verdicts after a length-only resident run must
+        // equal `f_G` replayed over the histories a materialized run
+        // stores, with the same run shape — under every channel model,
+        // with and without leaps, on feasible, infeasible, random and
+        // foreign configurations (H_2's schedule run on S_2, where nodes
+        // fall off schedule and must go silent, never claim).
         use crate::decision::LeaderDecision;
-        use radio_sim::{run_election_resident, ModelKind, SimWorkspace};
+        use radio_graph::NodeId;
+        use radio_sim::SimWorkspace;
         let mut rng = radio_util::rng::rng_from(29);
-        let mut configs = vec![
+        let mut cases: Vec<(Configuration, Configuration)> = [
+            families::h_m(1),
             families::h_m(3),
             families::g_m(3),
             families::s_m(2),
-            families::h_m(1),
-        ];
+        ]
+        .into_iter()
+        .map(|c| (c.clone(), c))
+        .collect();
         for _ in 0..6 {
             let g = generators::gnp_connected(9, 0.35, &mut rng);
-            configs.push(radio_graph::tags::random_in_span(g, 5, &mut rng));
+            let c = radio_graph::tags::random_in_span(g, 5, &mut rng);
+            cases.push((c.clone(), c));
         }
+        cases.push((families::h_m(2), families::s_m(2)));
         let mut sim = SimWorkspace::new();
-        for config in configs {
-            let (_, schedule) = CanonicalSchedule::build(&config);
+        let mut elected = 0;
+        for (compiled_for, config) in &cases {
+            let (_, schedule) = CanonicalSchedule::build(compiled_for);
             let shared = Arc::new(schedule);
-            let decision = LeaderDecision::new(shared.clone());
-            let decide = |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-            for base in [RunOpts::default(), RunOpts::default().no_leap()] {
-                let dense = run_election_resident(
-                    &mut sim,
-                    ModelKind::NoCollisionDetection,
-                    &config,
-                    &CanonicalFactory::new(shared.clone()),
-                    &decide,
-                    base,
-                )
-                .unwrap();
-                let (dense_leaders, dense_run) = (dense.leaders, dense.run);
-                let streaming = run_election_resident(
-                    &mut sim,
-                    ModelKind::NoCollisionDetection,
-                    &config,
-                    &CanonicalFactory::streaming(shared.clone()),
-                    &decide,
-                    base.len_only(),
-                )
-                .unwrap();
-                assert_eq!(streaming.leaders, dense_leaders, "{config}");
-                assert_eq!(streaming.run.stats, dense_run.stats, "{config}");
-                assert_eq!(
-                    streaming.run.completion_round, dense_run.completion_round,
-                    "{config}"
-                );
-                assert_eq!(streaming.run.rounds, dense_run.rounds, "{config}");
+            let factory = CanonicalFactory::new(shared.clone());
+            let decision = LeaderDecision::new(shared);
+            let nodes = 0..config.size() as NodeId;
+            for model in ModelKind::ALL {
+                for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
+                    let what = format!("{compiled_for} on {config} [{model}] {opts:?}");
+                    let ex = sim.run_kind(model, config, &factory, opts).unwrap();
+                    let want: Vec<NodeId> = nodes
+                        .clone()
+                        .filter(|&v| decision.is_leader(ex.history(v)))
+                        .collect();
+                    let run = sim
+                        .run_kind_resident(model, config, &factory, opts)
+                        .unwrap();
+                    let claims: Vec<Option<bool>> =
+                        nodes.clone().map(|v| sim.leader_claim(v)).collect();
+                    assert!(claims.iter().all(Option::is_some), "{what}: {claims:?}");
+                    let got: Vec<NodeId> = nodes
+                        .clone()
+                        .filter(|&v| claims[v as usize] == Some(true))
+                        .collect();
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(run.stats, ex.stats, "{what}");
+                    assert_eq!(run.rounds, ex.rounds, "{what}");
+                    assert_eq!(run.rounds_stepped, ex.rounds_stepped, "{what}");
+                    assert_eq!(run.rounds_leapt, ex.rounds_leapt, "{what}");
+                    let completion = ex.done_round.iter().copied().max().unwrap_or(0);
+                    assert_eq!(run.completion_round, completion, "{what}");
+                    elected += usize::from(want.len() == 1);
+                }
             }
         }
-    }
-
-    #[test]
-    fn streaming_mode_survives_foreign_configurations() {
-        // Off-schedule nodes must go silent and claim non-leadership —
-        // never panic, never claim — when the dedicated DRIP runs on a
-        // configuration it was not compiled for.
-        use radio_sim::{run_election_resident, ModelKind, SimWorkspace};
-        let h2 = families::h_m(2);
-        let (_, schedule) = CanonicalSchedule::build(&h2);
-        let shared = Arc::new(schedule);
-        let decision = crate::decision::LeaderDecision::new(shared.clone());
-        let decide = |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-        let s2 = families::s_m(2);
-        let mut sim = SimWorkspace::new();
-        let outcome = run_election_resident(
-            &mut sim,
-            ModelKind::NoCollisionDetection,
-            &s2,
-            &CanonicalFactory::streaming(shared.clone()),
-            &decide,
-            RunOpts::default().len_only(),
-        )
-        .unwrap();
-        let dense = run_election_resident(
-            &mut sim,
-            ModelKind::NoCollisionDetection,
-            &s2,
-            &CanonicalFactory::new(shared),
-            &decide,
-            RunOpts::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.leaders, dense.leaders);
+        assert!(elected > 0, "the table must contain successful elections");
     }
 
     #[test]

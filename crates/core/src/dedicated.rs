@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use radio_graph::{Configuration, NodeId};
-use radio_sim::{run_election_resident, ModelKind, RunOpts, SimError, SimWorkspace};
+use radio_sim::{ModelKind, ResidentRun, RunOpts, SimError, SimWorkspace};
 
 use crate::api::{ElectError, ElectionReport, Infeasible};
 use crate::canonical::CanonicalFactory;
@@ -128,23 +128,9 @@ impl CompiledElection {
             };
             return Err(ElectError::Simulation(infeasible.to_string()));
         }
-        // Resident run over *length-only* histories: the streaming
-        // canonical DRIP folds every observation into a per-node match
-        // cursor as it lands and resolves the leader verdict itself at
-        // termination, so the arena stores no observation content at all —
-        // only per-node virtual lengths. This removes the dominant memory
-        // term of dense-neighbourhood elections (each stored heard-event
-        // costs 24 B; a 10⁶-node bipartite run stores ~10⁸ of them) and
-        // keeps peak RSS within a small multiple of the configuration
-        // footprint. Leaders are bit-identical to the view-reading
-        // decision function (`LeaderDecision`): the cursor walks the same
-        // trie of list entries the decision replay compares against.
-        let factory = CanonicalFactory::streaming(self.shared_schedule());
-        let decision = self.decision();
-        let decide = move |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-        let opts = opts.len_only();
-        let outcome = run_election_resident(workspace, model, config, &factory, &decide, opts)
-            .map_err(|e: SimError| match e {
+        let (run, leaders) = self
+            .elect_resident(workspace, config, model, opts)
+            .map_err(|e| match e {
                 SimError::RoundLimit {
                     max_rounds,
                     still_running,
@@ -153,9 +139,9 @@ impl CompiledElection {
                     still_running,
                 },
             })?;
-        let leader = outcome.elected().ok_or_else(|| ElectError::Contract {
-            leaders: outcome.leaders.clone(),
-        })?;
+        let [leader] = leaders[..] else {
+            return Err(ElectError::Contract { leaders });
+        };
         let predicted = self.predicted_leader();
         if leader != predicted {
             return Err(ElectError::PredictionMismatch {
@@ -169,11 +155,37 @@ impl CompiledElection {
             sigma: config.span(),
             phases: self.schedule.phases(),
             rounds_local: self.schedule.done_local(),
-            completion_round: outcome.run.completion_round,
-            transmissions: outcome.run.stats.transmissions,
-            rounds_stepped: outcome.run.rounds_stepped,
-            rounds_leapt: outcome.run.rounds_leapt,
+            completion_round: run.completion_round,
+            transmissions: run.stats.transmissions,
+            rounds_stepped: run.rounds_stepped,
+            rounds_leapt: run.rounds_leapt,
         })
+    }
+
+    /// The one election step behind [`CompiledElection::run_in`] and the
+    /// campaign fold: runs `D_G` resident in `workspace` and collects the
+    /// nodes that claim leadership, with the run's shape. No contract is
+    /// checked here — a foreign channel may elect several nodes or none.
+    ///
+    /// The run stores history lengths only: each canonical node folds its
+    /// observations into a match cursor as they land and resolves `f_G`
+    /// itself at termination (see [`crate::canonical`]), so no observation
+    /// content is kept. That removes the dominant memory term of
+    /// dense-neighbourhood elections (a 10⁶-node bipartite run would
+    /// otherwise store ~10⁸ heard events) and keeps peak RSS within a small
+    /// multiple of the configuration footprint.
+    pub(crate) fn elect_resident(
+        &self,
+        workspace: &mut SimWorkspace,
+        config: &Configuration,
+        model: ModelKind,
+        opts: RunOpts,
+    ) -> Result<(ResidentRun, Vec<NodeId>), SimError> {
+        let run = workspace.run_kind_resident(model, config, &self.factory(), opts)?;
+        let leaders = (0..config.size() as NodeId)
+            .filter(|&v| workspace.leader_claim(v) == Some(true))
+            .collect();
+        Ok((run, leaders))
     }
 }
 

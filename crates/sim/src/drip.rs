@@ -70,12 +70,12 @@ pub trait DripNode {
     /// a node that cares about silent rounds reads them off the growing
     /// `history.len()` in [`DripNode::decide`].
     ///
-    /// The default is a no-op. Implementations that fold their history
-    /// incrementally (e.g. the canonical DRIP's streaming mode) use this
-    /// to avoid ever re-reading history content, which lets the engine
-    /// run them with length-only histories
-    /// ([`RunOpts::len_only`](crate::RunOpts::len_only)) — no observation
-    /// storage at all.
+    /// Both engines honour this hook. The default is a no-op.
+    /// Implementations that fold their history incrementally (the
+    /// canonical DRIP) use it to avoid ever re-reading history content,
+    /// which lets the engine run them resident over length-only histories
+    /// ([`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident))
+    /// — no observation storage at all.
     fn observe(&mut self, t: u64, obs: crate::msg::Obs) {
         let _ = (t, obs);
     }

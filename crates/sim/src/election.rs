@@ -3,9 +3,17 @@
 //! A *dedicated leader election algorithm* for a configuration `G` is a pair
 //! `(D, f)`: a DRIP `D` and a decision function `f` mapping each node's
 //! final history `H[0..done]` to 0 or 1, such that exactly one node of `G`
-//! maps to 1. [`run_election`] executes the pair and reports which nodes
-//! declared themselves leader; the contract is validated by the caller via
-//! [`ElectionOutcome::elected`].
+//! maps to 1. [`run_election`] executes the pair over materialized
+//! histories and reports which nodes declared themselves leader; the
+//! contract is validated by the caller via [`ElectionOutcome::elected`].
+//! This is the generic route, for any DRIP and any decision function.
+//!
+//! The paper's own algorithm takes a different route: the canonical DRIP
+//! evaluates `f` itself, online, and reports its verdict through
+//! [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim), so its
+//! elections run resident over length-only histories
+//! ([`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident))
+//! and never store an observation.
 
 use radio_graph::{Configuration, NodeId};
 
@@ -54,9 +62,7 @@ impl ElectionOutcome {
 }
 
 /// Runs `(D, f)` on `config` under `model`, materializing every node's
-/// history (see [`ElectionOutcome::execution`]). Production elections
-/// use [`run_election_resident`] instead, which leaves histories in the
-/// workspace arena.
+/// history (see [`ElectionOutcome::execution`]) and applying `f` to each.
 pub fn run_election(
     model: ModelKind,
     config: &Configuration,
@@ -68,59 +74,6 @@ pub fn run_election(
         .filter(|&v| (algorithm.decide)(execution.history(v)))
         .collect();
     Ok(ElectionOutcome { leaders, execution })
-}
-
-/// The outcome of a resident election ([`run_election_resident`]): the
-/// leaders plus the run summary. Histories stay in the workspace arena —
-/// nothing per-node is materialized, which is what lets 10⁶-node
-/// elections run within a small multiple of the configuration footprint.
-#[derive(Debug)]
-pub struct ResidentOutcome {
-    /// Nodes whose decision function returned 1.
-    pub leaders: Vec<NodeId>,
-    /// The run summary (rounds, completion, stats).
-    pub run: crate::workspace::ResidentRun,
-}
-
-impl ResidentOutcome {
-    /// The elected leader, if the algorithm satisfied the exactly-one
-    /// contract.
-    pub fn elected(&self) -> Option<NodeId> {
-        match self.leaders.as_slice() {
-            [v] => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// [`run_election`] without materializing the execution: runs the DRIP
-/// resident in `workspace`, then applies the *view-based* decision
-/// function straight over the observation arena. Bit-identical leaders to
-/// the materializing path (the views read the very same entries the owned
-/// histories would be cloned from), at none of the per-node clone cost.
-pub fn run_election_resident(
-    workspace: &mut crate::workspace::SimWorkspace,
-    model: ModelKind,
-    config: &Configuration,
-    drip: &dyn DripFactory,
-    decide: &(dyn Fn(crate::history::HistoryView<'_>) -> bool + Sync),
-    opts: RunOpts,
-) -> Result<ResidentOutcome, SimError> {
-    let run = workspace.run_kind_resident(model, config, drip, opts)?;
-    let leaders = if opts.len_only_histories {
-        // Length-only run: history content was never stored, so the
-        // decision must come from the DRIPs themselves — each node folded
-        // its observations as they landed and resolved a leader verdict at
-        // termination (see `DripNode::leader_claim`).
-        (0..config.size() as NodeId)
-            .filter(|&v| workspace.leader_claim(v) == Some(true))
-            .collect()
-    } else {
-        (0..config.size() as NodeId)
-            .filter(|&v| decide(workspace.history_view(v)))
-            .collect()
-    };
-    Ok(ResidentOutcome { leaders, run })
 }
 
 #[cfg(test)]

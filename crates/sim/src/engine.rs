@@ -82,6 +82,16 @@
 //! call [`SimWorkspace::run_kind`](crate::SimWorkspace::run_kind) or
 //! [`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident)
 //! instead.
+//!
+//! The two differ in what the arena keeps. `run_kind` stores every
+//! observation, because it materializes the [`Execution`]. The resident
+//! run stores history *lengths* only — one counter per node, a leap's bulk
+//! silence a counter bump — and hands DRIPs views in which every entry
+//! reads `(∅)`. It is the election path, sound only for DRIPs that fold
+//! their input through
+//! [`DripNode::observe`](crate::drip::DripNode::observe) and report
+//! through [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim),
+//! as the canonical DRIP does.
 
 use radio_graph::NodeId;
 
@@ -105,20 +115,6 @@ pub struct RunOpts {
     /// way — only [`Execution::rounds_stepped`] /
     /// [`Execution::rounds_leapt`] and wall-clock time differ.
     pub leap: bool,
-    /// Store history *lengths* only: no observation content is retained
-    /// at all. Non-silent observations are still delivered to the nodes
-    /// through [`DripNode::observe`](crate::drip::DripNode::observe) as
-    /// they happen, and the election outcome is read from
-    /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim) —
-    /// so this mode is only sound for DRIPs that fold their history
-    /// online (the canonical DRIP's streaming mode). Views still answer
-    /// `len()` correctly but report every entry as `(∅)`. Only the
-    /// resident run ([`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident))
-    /// honours it: materializing an [`Execution`] needs the content, so
-    /// [`SimWorkspace::run_kind`](crate::SimWorkspace::run_kind) clears
-    /// it. This is the million-node election mode: per-node memory drops
-    /// to one counter.
-    pub len_only_histories: bool,
 }
 
 impl Default for RunOpts {
@@ -127,7 +123,6 @@ impl Default for RunOpts {
             max_rounds: 50_000_000,
             record_trace: false,
             leap: true,
-            len_only_histories: false,
         }
     }
 }
@@ -151,15 +146,6 @@ impl RunOpts {
     /// one by one (the pre-leap engine behaviour).
     pub fn no_leap(mut self) -> RunOpts {
         self.leap = false;
-        self
-    }
-
-    /// Enables length-only history storage — see
-    /// [`RunOpts::len_only_histories`]. Only sound for DRIPs that fold
-    /// their history online via
-    /// [`DripNode::observe`](crate::drip::DripNode::observe).
-    pub fn len_only(mut self) -> RunOpts {
-        self.len_only_histories = true;
         self
     }
 }

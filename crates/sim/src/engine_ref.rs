@@ -20,7 +20,7 @@ use crate::drip::DripFactory;
 use crate::engine::{ExecStats, Execution, RunOpts, SimError};
 use crate::history::History;
 use crate::model::{record_listener_obs, NoCollisionDetection, RadioModel};
-use crate::msg::{Action, Msg};
+use crate::msg::{Action, Msg, Obs};
 
 /// Runs `factory`'s DRIP on `config` with the naive engine under the
 /// paper's model. Options are honoured except `record_trace` (the
@@ -113,12 +113,12 @@ pub fn run_reference_model<M: RadioModel>(
         // 4. Deliver to awake actors, as the model dictates.
         for v in 0..n {
             match actions[v] {
-                Some(Action::Transmit(_)) => histories[v].push(crate::msg::Obs::Silence),
+                Some(Action::Transmit(_)) => histories[v].push(Obs::Silence),
                 Some(Action::Listen) => {
                     let (count, msg) = perceive(v);
                     let obs = M::listener_obs(count, msg);
                     record_listener_obs(obs, &mut stats);
-                    histories[v].push(obs);
+                    record(&mut *nodes[v], &mut histories[v], obs);
                 }
                 Some(Action::Terminate) => {
                     state[v] = State::Done;
@@ -143,12 +143,12 @@ pub fn run_reference_model<M: RadioModel>(
             if let Some(obs) = forced {
                 state[v] = State::Awake;
                 wake[v] = r;
-                histories[v].push(obs);
+                record(&mut *nodes[v], &mut histories[v], obs);
                 stats.forced_wakeups += 1;
             } else if config.tag(v as NodeId) == r {
                 state[v] = State::Awake;
                 wake[v] = r;
-                histories[v].push(crate::msg::Obs::Silence);
+                histories[v].push(Obs::Silence);
             }
         }
 
@@ -170,13 +170,27 @@ pub fn run_reference_model<M: RadioModel>(
     })
 }
 
+/// Appends `obs` to a node's history and, if it is not silence, hands it
+/// to the node's [`DripNode::observe`](crate::drip::DripNode::observe) at
+/// the local round it landed in — the hook's contract, as the optimized
+/// engine keeps it.
+fn record(node: &mut dyn crate::drip::DripNode, history: &mut History, obs: Obs) {
+    let t = history.len() as u64;
+    history.push(obs);
+    if !obs.is_silence() {
+        node.observe(t, obs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drip::{BeaconFactory, EchoFactory, SilentFactory, WaitThenTransmitFactory};
     use crate::model::ModelKind;
     use crate::patient::PatientFactory;
+    use crate::DripNode;
     use radio_graph::generators;
+    use std::sync::{Arc, Mutex};
 
     fn assert_engines_agree(config: &Configuration, factory: &dyn DripFactory) {
         for kind in ModelKind::ALL {
@@ -240,6 +254,116 @@ mod tests {
                     },
                     config.span(),
                 ),
+            );
+        }
+    }
+
+    /// Wraps a DRIP and logs, per node in spawn order, every `(t, obs)`
+    /// the engine feeds it through `DripNode::observe`.
+    struct Recording {
+        inner: Box<dyn DripFactory>,
+        logs: Mutex<Vec<ObsLog>>,
+    }
+
+    type ObsLog = Arc<Mutex<Vec<(u64, Obs)>>>;
+
+    impl Recording {
+        fn new(inner: Box<dyn DripFactory>) -> Recording {
+            Recording {
+                inner,
+                logs: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// The logs of the last run (one per node), clearing them.
+        fn take(&self) -> Vec<Vec<(u64, Obs)>> {
+            let logs = std::mem::take(&mut *self.logs.lock().unwrap());
+            logs.iter().map(|l| l.lock().unwrap().clone()).collect()
+        }
+    }
+
+    struct RecordingNode {
+        inner: Box<dyn DripNode>,
+        log: ObsLog,
+    }
+
+    impl DripFactory for Recording {
+        fn spawn(&self) -> Box<dyn DripNode> {
+            let log = ObsLog::default();
+            self.logs.lock().unwrap().push(log.clone());
+            Box::new(RecordingNode {
+                inner: self.inner.spawn(),
+                log,
+            })
+        }
+    }
+
+    impl DripNode for RecordingNode {
+        fn decide(&mut self, history: crate::HistoryView<'_>) -> Action {
+            self.inner.decide(history)
+        }
+
+        fn quiet_until(&self, history: crate::HistoryView<'_>) -> Option<u64> {
+            self.inner.quiet_until(history)
+        }
+
+        fn observe(&mut self, t: u64, obs: Obs) {
+            self.log.lock().unwrap().push((t, obs));
+        }
+    }
+
+    #[test]
+    fn both_engines_feed_observe_every_non_silent_entry() {
+        // The `observe` contract: each non-silent history entry reaches
+        // the node once, with the local round it landed in — identically
+        // in both engines, under every model, leap or not. The path with
+        // tags 0/9/0 has two transmitters force-waking the middle node at
+        // t = 0 under CD and Beeping (a collision leaves it asleep under
+        // the paper's model); the star and H_3 add clean forced wake-ups,
+        // listener messages and collisions.
+        let configs = [
+            Configuration::new(generators::path(3), vec![0, 9, 0]).unwrap(),
+            Configuration::new(generators::star(4), vec![0, 7, 7, 1]).unwrap(),
+            radio_graph::families::h_m(3),
+        ];
+        let drips: [&dyn Fn() -> Box<dyn DripFactory>; 2] = [
+            &|| {
+                Box::new(WaitThenTransmitFactory {
+                    wait: 0,
+                    msg: Msg(4),
+                    lifetime: 12,
+                })
+            },
+            &|| Box::new(EchoFactory { lifetime: 15 }),
+        ];
+        for kind in ModelKind::ALL {
+            let mut woken_by_noise_at_zero = false;
+            for config in &configs {
+                for drip in drips {
+                    let rec = Recording::new(drip());
+                    let naive = kind
+                        .run_reference(config, &rec, RunOpts::default())
+                        .unwrap();
+                    let reference = rec.take();
+                    for (v, log) in reference.iter().enumerate() {
+                        let want: Vec<(u64, Obs)> = naive.histories[v]
+                            .iter()
+                            .filter(|(_, o)| !o.is_silence())
+                            .map(|(t, o)| (t as u64, o))
+                            .collect();
+                        assert_eq!(log, &want, "{config} [{kind}] node {v}: reference");
+                        woken_by_noise_at_zero |= log.first() == Some(&(0, Obs::Noise));
+                    }
+                    for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
+                        kind.run(config, &rec, opts).unwrap();
+                        assert_eq!(rec.take(), reference, "{config} [{kind}] {opts:?}");
+                    }
+                }
+            }
+            assert_eq!(
+                woken_by_noise_at_zero,
+                kind != ModelKind::NoCollisionDetection,
+                "[{kind}]: noise wake-ups at t = 0"
             );
         }
     }

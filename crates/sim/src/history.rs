@@ -152,17 +152,15 @@ impl<'a> IntoIterator for &'a History {
 /// accessors:
 ///
 /// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
-///   form, the default workspace arena);
-/// * **sparse** — the non-silent entries only, as sorted
-///   `(local_round, obs)` events plus a virtual length; every other round
-///   reads as `(∅)`. The engine's length-only arena
-///   ([`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories))
-///   hands out sparse views with no events at all, so a DRIP still sees
-///   the right history length.
+///   form, the arena of a materializing run);
+/// * **length-only** — a length and no content: every entry reads `(∅)`.
+///   A resident run's arena
+///   ([`SimWorkspace::run_kind_resident`](crate::SimWorkspace::run_kind_resident))
+///   stores nothing else, so a DRIP still sees the right history length.
 ///
 /// The one dense-only accessor is [`HistoryView::as_slice`], which
-/// panics on a sparse view — code meant to run under the length-only
-/// arena must read through `get`/`iter`/the query methods.
+/// panics on a length-only view — code meant to run resident must read
+/// through `get`/`iter`/the query methods.
 #[derive(Debug, Clone, Copy)]
 pub struct HistoryView<'a> {
     repr: Repr<'a>,
@@ -171,20 +169,11 @@ pub struct HistoryView<'a> {
 #[derive(Debug, Clone, Copy)]
 enum Repr<'a> {
     Dense(&'a [Obs]),
-    Sparse {
-        /// Non-silent entries as `(absolute_round, obs)`, sorted by round,
-        /// all within `[base, base + len)`.
-        events: &'a [(u64, Obs)],
-        /// Absolute round of the view's entry 0 (non-zero after
-        /// [`HistoryView::window`]).
-        base: u64,
-        /// Virtual length: rounds `0..len` exist, silence unless an event
-        /// says otherwise.
-        len: u64,
-    },
+    /// `len` rounds, every one of them `(∅)`.
+    LenOnly(u64),
 }
 
-/// The `&Obs` the sparse `Index` impl returns for virtual entries.
+/// The `&Obs` the length-only `Index` impl returns.
 static SILENCE: Obs = Obs::Silence;
 
 impl<'a> HistoryView<'a> {
@@ -196,16 +185,12 @@ impl<'a> HistoryView<'a> {
         }
     }
 
-    /// Sparse view: `len` rounds of silence except the given sorted
-    /// `(round, obs)` events. Only the engine's arena constructs these.
+    /// Length-only view: `len` rounds that all read `(∅)`. Only the
+    /// engine's arena constructs these.
     #[inline]
-    pub(crate) fn sparse(events: &'a [(u64, Obs)], len: u64) -> HistoryView<'a> {
+    pub(crate) fn len_only(len: u64) -> HistoryView<'a> {
         HistoryView {
-            repr: Repr::Sparse {
-                events,
-                base: 0,
-                len,
-            },
+            repr: Repr::LenOnly(len),
         }
     }
 
@@ -214,7 +199,7 @@ impl<'a> HistoryView<'a> {
     pub fn len(&self) -> usize {
         match self.repr {
             Repr::Dense(entries) => entries.len(),
-            Repr::Sparse { len, .. } => len as usize,
+            Repr::LenOnly(len) => len as usize,
         }
     }
 
@@ -227,14 +212,14 @@ impl<'a> HistoryView<'a> {
     /// All entries as a contiguous slice.
     ///
     /// # Panics
-    /// Panics on a sparse view (silence is virtual there — no contiguous
-    /// run exists). Use `get`/`iter` or [`HistoryView::to_history`].
+    /// Panics on a length-only view (no entries are stored there). Use
+    /// `get`/`iter` or [`HistoryView::to_history`].
     #[inline]
     pub fn as_slice(&self) -> &'a [Obs] {
         match self.repr {
             Repr::Dense(entries) => entries,
-            Repr::Sparse { .. } => {
-                panic!("HistoryView::as_slice on a sparse view; use get()/iter()/to_history()")
+            Repr::LenOnly(_) => {
+                panic!("HistoryView::as_slice on a length-only view; use get()/iter()/to_history()")
             }
         }
     }
@@ -244,16 +229,7 @@ impl<'a> HistoryView<'a> {
     pub fn get(&self, r: usize) -> Option<Obs> {
         match self.repr {
             Repr::Dense(entries) => entries.get(r).copied(),
-            Repr::Sparse { events, base, len } => {
-                if (r as u64) >= len {
-                    return None;
-                }
-                let abs = base + r as u64;
-                match events.binary_search_by_key(&abs, |&(p, _)| p) {
-                    Ok(i) => Some(events[i].1),
-                    Err(_) => Some(Obs::Silence),
-                }
-            }
+            Repr::LenOnly(len) => ((r as u64) < len).then_some(Obs::Silence),
         }
     }
 
@@ -265,22 +241,13 @@ impl<'a> HistoryView<'a> {
 
     /// The local round of the first non-silent entry, if any.
     pub fn first_nonsilent(&self) -> Option<usize> {
-        match self.repr {
-            Repr::Dense(entries) => entries.iter().position(|o| !o.is_silence()),
-            Repr::Sparse { events, base, .. } => events.first().map(|&(p, _)| (p - base) as usize),
-        }
+        self.stored().iter().position(|o| !o.is_silence())
     }
 
     /// The local round of the first received message, if any (the paper's
     /// `rcv_w`). Collisions do not count.
     pub fn first_message(&self) -> Option<usize> {
-        match self.repr {
-            Repr::Dense(entries) => entries.iter().position(|o| o.is_message()),
-            Repr::Sparse { events, base, .. } => events
-                .iter()
-                .find(|(_, o)| o.is_message())
-                .map(|&(p, _)| (p - base) as usize),
-        }
+        self.stored().iter().position(|o| o.is_message())
     }
 
     /// The message received in local round `r`, if entry `r` is `Heard`.
@@ -293,50 +260,36 @@ impl<'a> HistoryView<'a> {
 
     /// True when every entry is silence.
     pub fn all_silent(&self) -> bool {
-        match self.repr {
-            Repr::Dense(entries) => entries.iter().all(|o| o.is_silence()),
-            Repr::Sparse { events, .. } => events.is_empty(),
-        }
+        self.stored().iter().all(|o| o.is_silence())
     }
 
     /// Sub-view `H[from .. from+len]` — no allocation.
     pub fn window(&self, from: usize, len: usize) -> HistoryView<'a> {
         match self.repr {
             Repr::Dense(entries) => HistoryView::new(&entries[from..from + len]),
-            Repr::Sparse {
-                events,
-                base,
-                len: total,
-            } => {
+            Repr::LenOnly(total) => {
                 assert!(from + len <= total as usize, "window out of range");
-                let lo = base + from as u64;
-                let hi = lo + len as u64;
-                let a = events.partition_point(|&(p, _)| p < lo);
-                let b = events.partition_point(|&(p, _)| p < hi);
-                HistoryView {
-                    repr: Repr::Sparse {
-                        events: &events[a..b],
-                        base: lo,
-                        len: len as u64,
-                    },
-                }
+                HistoryView::len_only(len as u64)
             }
         }
     }
 
     /// Materializes an owned [`History`].
     pub fn to_history(&self) -> History {
-        match self.repr {
-            Repr::Dense(entries) => History {
-                entries: entries.to_vec(),
+        History {
+            entries: match self.repr {
+                Repr::Dense(entries) => entries.to_vec(),
+                Repr::LenOnly(len) => vec![Obs::Silence; len as usize],
             },
-            Repr::Sparse { events, base, len } => {
-                let mut entries = vec![Obs::Silence; len as usize];
-                for &(p, o) in events {
-                    entries[(p - base) as usize] = o;
-                }
-                History { entries }
-            }
+        }
+    }
+
+    /// The stored entries — none for a length-only view, whose every
+    /// entry is silence.
+    fn stored(&self) -> &'a [Obs] {
+        match self.repr {
+            Repr::Dense(entries) => entries,
+            Repr::LenOnly(_) => &[],
         }
     }
 
@@ -355,7 +308,7 @@ impl<'a> HistoryView<'a> {
     }
 }
 
-/// Equality is semantic — a dense view and a sparse view of the same
+/// Equality is semantic — a dense view and a length-only view of the same
 /// history compare equal regardless of representation.
 impl PartialEq for HistoryView<'_> {
     fn eq(&self, other: &Self) -> bool {
@@ -388,13 +341,9 @@ impl Index<usize> for HistoryView<'_> {
     fn index(&self, r: usize) -> &Obs {
         match self.repr {
             Repr::Dense(entries) => &entries[r],
-            Repr::Sparse { events, base, len } => {
+            Repr::LenOnly(len) => {
                 assert!((r as u64) < len, "index {r} out of range (len {len})");
-                let abs = base + r as u64;
-                match events.binary_search_by_key(&abs, |&(p, _)| p) {
-                    Ok(i) => &events[i].1,
-                    Err(_) => &SILENCE,
-                }
+                &SILENCE
             }
         }
     }
@@ -503,5 +452,22 @@ mod tests {
         let v = h.view().window(2, 2);
         assert_eq!(v.as_slice(), &[Obs::Heard(Msg(9)), Obs::Collision]);
         assert_eq!(HistoryView::from(&h).len(), 5);
+    }
+
+    #[test]
+    fn len_only_view_reads_as_all_silence() {
+        let v = HistoryView::len_only(4);
+        let silent = History::from_entries(vec![Obs::Silence; 4]);
+        assert_eq!(v.len(), 4);
+        assert_eq!(v.get(3), Some(Obs::Silence));
+        assert_eq!(v.get(4), None);
+        assert_eq!(v[2], Obs::Silence);
+        assert_eq!(v.first_nonsilent(), None);
+        assert_eq!(v.first_message(), None);
+        assert!(v.all_silent());
+        assert_eq!(v.window(1, 2).len(), 2);
+        assert_eq!(v.to_history(), silent);
+        assert_eq!(v, silent.view(), "equality is semantic");
+        assert_eq!(v.render(), "[∅ ∅ ∅ ∅]");
     }
 }

@@ -95,9 +95,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
-pub use election::{
-    run_election, run_election_resident, ElectionOutcome, LeaderAlgorithm, ResidentOutcome,
-};
+pub use election::{run_election, ElectionOutcome, LeaderAlgorithm};
 pub use engine::{ExecStats, Execution, RunOpts, SimError};
 pub use history::{History, HistoryView};
 pub use model::{Beeping, CollisionDetection, ModelKind, NoCollisionDetection, RadioModel};

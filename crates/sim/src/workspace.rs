@@ -49,14 +49,14 @@ use crate::trace::{RoundEvent, Trace};
 ///
 /// # Length-only mode
 ///
-/// Under [`RunOpts::len_only_histories`] the arena stores no observation
-/// at all: every history is a per-node virtual length, and a leap's bulk
-/// silence ([`ObsArena::push_silence_n`]) is a counter bump — O(1) time
-/// *and* memory.
+/// For resident runs ([`SimWorkspace::run_kind_resident`]) the arena
+/// stores no observation at all: every history is a per-node virtual
+/// length, and a leap's bulk silence ([`ObsArena::push_silence_n`]) is a
+/// counter bump — O(1) time *and* memory.
 #[derive(Debug, Default)]
 pub(crate) struct ObsArena {
     /// Length-only mode: nothing is stored, histories exist purely as
-    /// per-node virtual lengths (`vlen`). See [`RunOpts::len_only_histories`].
+    /// per-node virtual lengths (`vlen`).
     len_only: bool,
     /// Backing buffer (one `Obs` per recorded round).
     data: Vec<Obs>,
@@ -219,8 +219,8 @@ impl ObsArena {
         if self.len_only {
             // Length-only views have the right `len()` but report every
             // entry as silence; sound only under the `observe`-folding
-            // DRIP contract of `RunOpts::len_only_histories`.
-            return HistoryView::sparse(&[], self.vlen[v]);
+            // DRIP contract of `SimWorkspace::run_kind_resident`.
+            return HistoryView::len_only(self.vlen[v]);
         }
         HistoryView::new(&self.data[self.off[v]..self.off[v] + self.len[v] as usize])
     }
@@ -335,8 +335,7 @@ impl SimWorkspace {
     /// Runs `factory`'s DRIP on `config` under `model`, recycling this
     /// workspace's buffers, and materializes the [`Execution`].
     /// Materializing needs every observation's content, so this run
-    /// always stores full histories: [`RunOpts::len_only_histories`] is
-    /// ignored.
+    /// stores full histories.
     pub fn run_kind(
         &mut self,
         model: ModelKind,
@@ -344,11 +343,8 @@ impl SimWorkspace {
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<Execution, SimError> {
-        let opts = RunOpts {
-            len_only_histories: false,
-            ..opts
-        };
-        let run = self.run_kind_resident(model, config, factory, opts)?;
+        self.arena.set_len_only(false);
+        let run = self.run_model(model, config, factory, opts)?;
         Ok(Execution {
             wake_round: std::mem::take(&mut self.wake),
             done_round: std::mem::take(&mut self.done),
@@ -361,18 +357,34 @@ impl SimWorkspace {
         })
     }
 
-    /// [`SimWorkspace::run_kind`] without materializing an [`Execution`]:
-    /// the run's histories stay resident in the workspace arena, readable
-    /// through [`SimWorkspace::history_view`] until the next run resets it.
+    /// [`SimWorkspace::run_kind`] over *length-only* histories, without
+    /// materializing an [`Execution`]: the arena keeps one virtual length
+    /// per node and no observation content, and every view a DRIP is
+    /// handed reads `(∅)` at every entry. The summary carries everything
+    /// else an [`Execution`] would; the nodes stay readable through
+    /// [`SimWorkspace::leader_claim`] until the next run.
     ///
-    /// This is the engine's million-node path. Materializing a 10⁶-node
-    /// execution clones every observation into per-node vectors — for
-    /// history-heavy runs that clone alone can exceed the configuration
-    /// footprint by an order of magnitude. Callers that only *read* final
-    /// histories (a decision function, a metrics pass) should run resident
-    /// and view the arena in place; the summary carries everything else an
-    /// [`Execution`] would.
+    /// This is the engine's election and million-node path: per-node
+    /// memory is one counter, whatever the run hears. It is sound only
+    /// for DRIPs that fold their input through
+    /// [`DripNode::observe`](crate::drip::DripNode::observe) (read nothing
+    /// of a history but its length) and report their verdict through
+    /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim) —
+    /// the canonical DRIP. Any other DRIP must run through
+    /// [`SimWorkspace::run_kind`].
     pub fn run_kind_resident(
+        &mut self,
+        model: ModelKind,
+        config: &Configuration,
+        factory: &dyn DripFactory,
+        opts: RunOpts,
+    ) -> Result<ResidentRun, SimError> {
+        self.arena.set_len_only(true);
+        self.run_model(model, config, factory, opts)
+    }
+
+    /// Dispatches to the run loop under `model`'s channel semantics.
+    fn run_model(
         &mut self,
         model: ModelKind,
         config: &Configuration,
@@ -390,34 +402,26 @@ impl SimWorkspace {
         }
     }
 
-    /// Final history of node `v` from the last run, viewed in place (no
-    /// copy). Valid after [`SimWorkspace::run_kind_resident`] until the
-    /// next run or reset re-dimensions the arena.
-    #[inline]
-    pub fn history_view(&self, v: NodeId) -> HistoryView<'_> {
-        self.arena.view(v as usize)
-    }
-
     /// Leader verdict of node `v`'s DRIP from the last run, if the
     /// algorithm resolved one at termination (see
     /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim)).
-    /// This is how length-only runs report
-    /// election outcomes without stored histories.
+    /// This is how resident runs report election
+    /// outcomes without stored histories.
     #[inline]
     pub fn leader_claim(&self, v: NodeId) -> Option<bool> {
         self.nodes[v as usize].leader_claim()
     }
 
-    /// The run loop itself, under the channel model `M`:
-    /// [`SimWorkspace::run_kind_resident`] dispatches here, and
-    /// [`SimWorkspace::run_kind`] materializes its result.
+    /// The run loop itself, under the channel model `M`, in the arena
+    /// mode the caller selected: [`SimWorkspace::run_kind_resident`]
+    /// returns its summary, and [`SimWorkspace::run_kind`] materializes
+    /// its result.
     fn run_model_resident<M: RadioModel>(
         &mut self,
         config: &Configuration,
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<ResidentRun, SimError> {
-        self.arena.set_len_only(opts.len_only_histories);
         self.reset_for(config);
         let n = config.size();
         let csr = config.csr();

@@ -114,24 +114,22 @@ fn one_workspace_matches_fresh_runs_across_a_shuffled_mix() {
 fn one_workspace_matches_fresh_canonical_elections() {
     // The compiled canonical DRIP (the paper's algorithm, quiet_until
     // timetable and all) through a reused workspace, leap, no-leap and
-    // length-only.
+    // traced.
     let mut ws = SimWorkspace::new();
     for m in [1u64, 4, 9] {
         let config = radio_graph::families::h_m(m);
         let compiled = anon_radio::solve(&config).expect("H_m feasible");
         let factory = compiled.factory();
-        // A materialized run needs the histories' content, so it ignores
-        // `len_only`: that run must equal the default run, content and all.
-        for (opts, want) in [
-            (RunOpts::default(), RunOpts::default()),
-            (RunOpts::default().no_leap(), RunOpts::default().no_leap()),
-            (RunOpts::default().len_only(), RunOpts::default()),
+        for opts in [
+            RunOpts::default(),
+            RunOpts::default().no_leap(),
+            RunOpts::default().traced(),
         ] {
             let reused = ws
                 .run_kind(ModelKind::default(), &config, &factory, opts)
                 .expect("terminates");
             let fresh = ModelKind::default()
-                .run(&config, &factory, want)
+                .run(&config, &factory, opts)
                 .expect("terminates");
             assert_bit_identical(&reused, &fresh, &format!("H_{m} {opts:?}"));
         }
